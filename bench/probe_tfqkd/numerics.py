@@ -1,0 +1,225 @@
+"""Numerical primitives: entropy, Poisson statistics, folded photon-number
+distributions, state fidelities, concentration deviations, and the
+repeaterless linear bound.
+
+All functions here are pure and stateless; they carry no protocol context.
+Intensities are mean photon numbers per pulse; the two-pulse source obtained
+when both parties emit intensity beta has Poisson mean 2*beta, and the
+fidelity helpers apply that doubling internally.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+# Tail terms below this threshold are dropped once the running index has
+# passed the distribution mean (error is orders of magnitude below the
+# 1e-12 normalization targets).
+TAIL_CUTOFF = 1e-30
+
+
+class Deviation(NamedTuple):
+    """A concentration-deviation magnitude plus a flag recording whether a
+    negative trial count had to be clamped to zero."""
+
+    value: float
+    clamped: bool
+
+
+def binary_entropy(p: float) -> float:
+    """Binary Shannon entropy h(p) in bits, with 0*log2(0) = 0."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"binary_entropy: p={p} outside [0, 1]")
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def poisson_pmf(k: int, mean: float) -> float:
+    """P(X = k) for X ~ Poisson(mean).
+
+    Evaluated in log space for k > 20 so that the large photon-number
+    indices produced by folding (j + M*n) never overflow a factorial.
+    """
+    if mean < 0.0:
+        raise ValueError(f"poisson_pmf: mean={mean} must be >= 0")
+    if k < 0:
+        return 0.0
+    if mean == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if k <= 20:
+        return math.exp(-mean) * mean**k / math.factorial(k)
+    log_p = -mean + k * math.log(mean) - math.lgamma(k + 1.0)
+    return math.exp(log_p) if log_p > -745.0 else 0.0
+
+
+def _check_fold_args(j: int, m_phases: int) -> None:
+    if m_phases < 2 or m_phases % 2 != 0:
+        raise ValueError(f"number of phase slices must be even and >= 2, got {m_phases}")
+    if not 0 <= j < m_phases:
+        raise ValueError(f"phase class j={j} outside [0, {m_phases - 1}]")
+
+
+def folded_poisson(j: int, mean: float, m_phases: int) -> float:
+    """Total Poisson weight of the folded photon-number class j (mod M).
+
+    Sums P(j + M*n) for n = 0, 1, ... with a deterministic truncation:
+    the sum stops at the first term that is both below TAIL_CUTOFF and
+    past the distribution mean.
+    """
+    _check_fold_args(j, m_phases)
+    total = 0.0
+    k = j
+    while True:
+        term = poisson_pmf(k, mean)
+        total += term
+        if term < TAIL_CUTOFF and k > mean:
+            return total
+        k += m_phases
+
+
+def folded_fidelity(j: int, intensity_a: float, intensity_b: float, m_phases: int) -> float:
+    """Fidelity between the two folded two-pulse states of class j prepared
+    with per-pulse intensities a and b (Poisson means 2a and 2b).
+
+    Equals 1 when the intensities coincide. Raises on the degenerate case
+    where both folded weights vanish (only possible for j > 0 with both
+    intensities zero).
+    """
+    _check_fold_args(j, m_phases)
+    if intensity_a < 0.0 or intensity_b < 0.0:
+        raise ValueError("intensities must be >= 0")
+    if j > 0 and intensity_a == 0.0 and intensity_b == 0.0:
+        raise ValueError(f"degenerate folded class j={j}: both weights vanish")
+    if intensity_a == intensity_b:
+        return 1.0
+    mean_a, mean_b = 2.0 * intensity_a, 2.0 * intensity_b
+    wa = folded_poisson(j, mean_a, m_phases)
+    wb = folded_poisson(j, mean_b, m_phases)
+    if wa == 0.0 or wb == 0.0:
+        raise ValueError(
+            f"degenerate folded class j={j}: both weights vanish "
+            f"(intensities {intensity_a}, {intensity_b})"
+        )
+    overlap = 0.0
+    k = j
+    while True:
+        pa = poisson_pmf(k, mean_a)
+        pb = poisson_pmf(k, mean_b)
+        overlap += math.sqrt(pa) * math.sqrt(pb)
+        if pa < TAIL_CUTOFF and pb < TAIL_CUTOFF and k > max(mean_a, mean_b):
+            break
+        k += m_phases
+    return min(1.0, overlap / math.sqrt(wa * wb))
+
+
+def folded_distinguishability(
+    j: int, intensity_a: float, intensity_b: float, m_phases: int
+) -> float:
+    """sqrt(1 - F^2) for the folded_fidelity F of class j, computed without
+    the catastrophic cancellation of squaring a fidelity that sits within
+    1e-13 of 1.
+
+    Writes F as a cosine between the amplitude vectors a_n = sqrt(P(j+Mn))
+    and uses the Lagrange identity |a|^2|b|^2 - <a,b>^2 =
+    sum_{n<m} (a_n b_m - a_m b_n)^2, a sum of nonnegative terms.
+    """
+    _check_fold_args(j, m_phases)
+    if intensity_a < 0.0 or intensity_b < 0.0:
+        raise ValueError("intensities must be >= 0")
+    if j > 0 and intensity_a == 0.0 and intensity_b == 0.0:
+        raise ValueError(f"degenerate folded class j={j}: both weights vanish")
+    if intensity_a == intensity_b:
+        return 0.0
+    mean_a, mean_b = 2.0 * intensity_a, 2.0 * intensity_b
+    amp_a: list[float] = []
+    amp_b: list[float] = []
+    k = j
+    while True:
+        pa = poisson_pmf(k, mean_a)
+        pb = poisson_pmf(k, mean_b)
+        amp_a.append(math.sqrt(pa))
+        amp_b.append(math.sqrt(pb))
+        if pa < TAIL_CUTOFF and pb < TAIL_CUTOFF and k > max(mean_a, mean_b):
+            break
+        k += m_phases
+    norm_sq = sum(a * a for a in amp_a) * sum(b * b for b in amp_b)
+    if norm_sq == 0.0:
+        raise ValueError(f"degenerate folded class j={j}: both weights vanish")
+    cross = 0.0
+    for n in range(len(amp_a)):
+        for m in range(n + 1, len(amp_a)):
+            term = amp_a[n] * amp_b[m] - amp_a[m] * amp_b[n]
+            cross += term * term
+    return math.sqrt(min(1.0, cross / norm_sq))
+
+
+def vacuum_distinguishability(intensity: float, m_phases: int) -> float:
+    """sqrt(1 - F^2) for the vacuum_fidelity ratio F = P(0)/folded(0),
+    cancellation-free: 1 - F is the folded tail weight over the class-0
+    weight, a ratio of directly summed positive terms."""
+    if intensity < 0.0:
+        raise ValueError("intensity must be >= 0")
+    _check_fold_args(0, m_phases)
+    mean = 2.0 * intensity
+    if mean == 0.0:
+        return 0.0
+    tail = 0.0
+    k = m_phases
+    while True:
+        term = poisson_pmf(k, mean)
+        tail += term
+        if term < TAIL_CUTOFF and k > mean:
+            break
+        k += m_phases
+    one_minus_f = tail / folded_poisson(0, mean, m_phases)
+    return math.sqrt(one_minus_f * (2.0 - one_minus_f))
+
+
+def vacuum_fidelity(intensity: float, m_phases: int) -> float:
+    """Fidelity-style overlap between the vacuum and the folded class-0
+    two-pulse state of the given per-pulse intensity: P(0) over the folded
+    class-0 weight, both at Poisson mean 2*intensity.
+
+    This is the plain ratio without a square root; see
+    vacuum_fidelity_sqrt for the square-rooted variant.
+    """
+    if intensity < 0.0:
+        raise ValueError("intensity must be >= 0")
+    _check_fold_args(0, m_phases)
+    mean = 2.0 * intensity
+    return poisson_pmf(0, mean) / folded_poisson(0, mean, m_phases)
+
+
+def vacuum_fidelity_sqrt(intensity: float, m_phases: int) -> float:
+    """Square-rooted variant of vacuum_fidelity, for sensitivity studies of
+    the pure-against-mixed overlap convention. Not used by default."""
+    return math.sqrt(vacuum_fidelity(intensity, m_phases))
+
+
+def chernoff_delta(x: float, y: float, z: float) -> Deviation:
+    """Concentration deviation sqrt(3*x*y*ln(1/z)) for x trials at
+    per-trial rate y and failure probability z.
+
+    A negative x (which arises when forming residual trial counts from
+    sampled data) is clamped to zero and flagged in the result.
+    """
+    if not 0.0 < z < 1.0:
+        raise ValueError(f"failure probability z={z} outside (0, 1)")
+    if not 0.0 <= y <= 1.0:
+        raise ValueError(f"per-trial rate y={y} outside [0, 1]")
+    clamped = x < 0.0
+    if clamped:
+        x = 0.0
+    if x == 0.0 or y == 0.0:
+        return Deviation(0.0, clamped)
+    return Deviation(math.sqrt(3.0 * x * y * math.log(1.0 / z)), clamped)
+
+
+def plob_bound(eta: float) -> float:
+    """Repeaterless secret-key capacity bound -log2(1 - eta) in bits per
+    pulse for end-to-end transmittance eta."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"plob_bound: eta={eta} outside (0, 1)")
+    return -math.log2(1.0 - eta)
