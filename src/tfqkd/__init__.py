@@ -41,10 +41,9 @@ from .numerics import (
     poisson_pmf,
     vacuum_distinguishability,
     vacuum_fidelity,
-    vacuum_fidelity_sqrt,
 )
 from .optimize import EmptyFeasibleRegion, SearchSpace, optimize_point, sweep
-from .simplex import LPSolution, brute_force_solve, load_lp, solve_max
+from .simplex import LPSolution, load_lp, solve_max
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "SecurityBudget",
     "analyze",
     "binary_entropy",
-    "brute_force_solve",
     "build_lp",
     "chernoff_delta",
     "click_probabilities",
@@ -89,6 +87,5 @@ __all__ = [
     "sweep",
     "vacuum_distinguishability",
     "vacuum_fidelity",
-    "vacuum_fidelity_sqrt",
     "variable_upper_bound",
 ]

@@ -21,7 +21,7 @@ from .channel import (
     expected_observations,
     sample_observations,
 )
-from .constraints import SecurityBudget, build_lp, dump_lp, make_budget
+from .constraints import SecurityBudget, _fmt, build_lp, dump_lp, make_budget
 from .keyrate import KeyRateReport, analyze
 from .optimize import SearchSpace, default_threads, optimize_point, sweep
 
@@ -90,11 +90,8 @@ def _parse_distances(value) -> list[float]:
         step = _as_number(_need(value, "step", "distances."), "distances.step")
         if step <= 0.0:
             raise ConfigError("distances.step: must be > 0")
-        out = []
-        x = start
-        while x <= stop + 1e-9:
-            out.append(x)
-            x += step
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        out = [start + i * step for i in range(count)]
     else:
         raise ConfigError("distances: expected a list or {start, stop, step}")
     if not out:
@@ -232,10 +229,6 @@ def load_config(path: str) -> RunConfig:
 def _distance_seeds(seed: int, count: int) -> list[int]:
     children = np.random.SeedSequence(seed).spawn(count)
     return [int(child.generate_state(1)[0]) for child in children]
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _json_num(x: float):
@@ -426,9 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             config.output = args.out
         # Thread precedence: --threads flag, then TFQKD_THREADS, then config.
-        env_threads = default_threads()
-        if env_threads > 1:
-            config.threads = env_threads
+        config.threads = default_threads(fallback=config.threads)
         if args.threads is not None:
             if args.threads < 1:
                 raise ConfigError("threads: must be >= 1")

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import ObservedCounts, ProtocolParams
 from .numerics import (
-    chernoff_delta,
+    chernoff_deltas,
     folded_distinguishability,
     folded_poisson,
     vacuum_distinguishability,
@@ -112,59 +113,108 @@ _CHARGES_PER_GAP = 6
 _CHARGES_PER_BOX = 1
 
 
-def _lemma_gap(
-    kind: str,
-    j: int,
-    p1: float,
-    p2: float,
-    s: float,
+def _lemma_gaps(
+    pairs: list[tuple[str, int, float, float, float, float, float]],
     n_total: float,
-    count_left: float,
-    count_right: float,
     eps_a: float,
-) -> GapBound:
-    """Apply the finite-statistics bound to a pair of preparations with
-    probabilities (p1, p2), distinguishability s = sqrt(1 - F^2), and
-    observed totals (count_left, count_right)."""
-    events: list[str] = []
-    if p1 > p2:
-        coeff_left, coeff_right = p2 / p1, 1.0
-        p_small, ratio = p2, p2 / p1
-        count_last = count_left
-    else:
-        # Ties (including the degenerate 0 == 0) take this branch.
-        ratio = p1 / p2 if p2 > 0.0 else 1.0
-        coeff_left, coeff_right = 1.0, ratio
-        p_small = p1
-        count_last = count_right
+) -> list[GapBound]:
+    """Apply the finite-statistics bound to pairs of preparations, given as
+    (kind, j, p1, p2, s, count_left, count_right): probabilities (p1, p2),
+    distinguishability s = sqrt(1 - F^2), and observed totals. The
+    deviations of every pair are evaluated together, in two rounds."""
+    coeffs, p_small, ratio, count_last = [], [], [], []
+    for _, _, p1, p2, _, count_left, count_right in pairs:
+        if p1 > p2:
+            coeffs.append((p2 / p1, 1.0))
+            p_small.append(p2)
+            ratio.append(p2 / p1)
+            count_last.append(count_left)
+        else:
+            # Ties (including the degenerate 0 == 0) take this branch.
+            r = p1 / p2 if p2 > 0.0 else 1.0
+            coeffs.append((1.0, r))
+            p_small.append(p1)
+            ratio.append(r)
+            count_last.append(count_right)
 
-    d_pair = chernoff_delta(n_total, 2.0 * p_small, eps_a)
-    n1 = 2.0 * n_total * p_small + d_pair.value
-    n2 = 2.0 * n_total * p_small - d_pair.value
-    d_guess = chernoff_delta(n1, (1.0 + s) / 2.0, eps_a)
-    d_flip = chernoff_delta(n2 - count_left - count_right, 0.5, eps_a)
-    if d_flip.clamped:
-        events.append(f"{kind}[{j}]: residual trial count below zero")
-    d_last = chernoff_delta(count_last, ratio, eps_a)
-
-    delta = n1 * s + 2.0 * d_guess.value - 2.0 * d_flip.value + d_last.value
-    if delta < 0.0:
-        events.append(f"{kind}[{j}]: delta {delta:.6g} clamped to 0")
-        delta = 0.0
-    return GapBound(
-        kind=kind,
-        j=j,
-        coeff_left=coeff_left,
-        coeff_right=coeff_right,
-        delta=delta,
-        clamp_events=tuple(events),
+    k = len(pairs)
+    # d_pair and d_last of every pair, then d_guess and d_flip, which need
+    # the trial counts n1 and n2 that d_pair brackets.
+    first = chernoff_deltas(
+        [n_total] * k + count_last, [2.0 * p for p in p_small] + ratio, eps_a
+    )
+    n1 = [2.0 * n_total * p + d.value for p, d in zip(p_small, first)]
+    n2 = [2.0 * n_total * p - d.value for p, d in zip(p_small, first)]
+    second = chernoff_deltas(
+        n1 + [n - left - right for n, (*_, left, right) in zip(n2, pairs)],
+        [(1.0 + s) / 2.0 for _, _, _, _, s, _, _ in pairs] + [0.5] * k,
+        eps_a,
     )
 
+    bounds = []
+    for i, (kind, j, _, _, s, _, _) in enumerate(pairs):
+        d_guess, d_flip, d_last = second[i], second[k + i], first[k + i]
+        events: list[str] = []
+        if d_flip.clamped:
+            events.append(f"{kind}[{j}]: residual trial count below zero")
+        delta = n1[i] * s + 2.0 * d_guess.value - 2.0 * d_flip.value + d_last.value
+        if delta < 0.0:
+            events.append(f"{kind}[{j}]: delta {delta:.6g} clamped to 0")
+            delta = 0.0
+        bounds.append(GapBound(kind, j, *coeffs[i], delta, tuple(events)))
+    return bounds
 
-def _class_probability(j: int, intensity: float, p_label: float, m_phases: int) -> float:
+
+# Entries kept by each table cache. A search round draws 5-7 intensities of
+# each kind, so a few hundred entries cover every round of a distance.
+_TABLE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _intensity_table(intensity: float, m_phases: int) -> tuple[tuple[float, ...], float]:
+    """Folded class weights of the two-pulse source at per-pulse intensity
+    `intensity` (classes 0..M-1), and its vacuum distinguishability."""
+    weights = tuple(folded_poisson(j, 2.0 * intensity, m_phases) for j in range(m_phases))
+    return weights, vacuum_distinguishability(intensity, m_phases)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _pair_distinguishabilities(mu: float, nu: float, m_phases: int) -> tuple[float, ...]:
+    """folded_distinguishability of classes 0..M-1 between intensities mu
+    and nu."""
+    return tuple(folded_distinguishability(j, mu, nu, m_phases) for j in range(m_phases))
+
+
+def _class_probabilities(intensity: float, p_label: float, m_phases: int) -> list[float]:
     """Probability that a round prepares the matched-intensity folded class
-    j (both parties pick the label, phases match in- or anti-phase)."""
-    return (2.0 * p_label**2 / m_phases) * folded_poisson(j, 2.0 * intensity, m_phases)
+    j, for j = 0..M-1 (both parties pick the label, phases match in- or
+    anti-phase)."""
+    weights, _ = _intensity_table(intensity, m_phases)
+    factor = 2.0 * p_label**2 / m_phases
+    return [factor * w for w in weights]
+
+
+def _gap_bounds(
+    protocol: ProtocolParams, counts: ObservedCounts, eps_a: float
+) -> list[GapBound]:
+    """Every gap bound of the phase-error LP, in LP order: vacuum_mu,
+    vacuum_nu, then decoy_pair for classes 0..M-1."""
+    m = protocol.n_phases
+    q_mu = _class_probabilities(protocol.mu, protocol.p_mu, m)
+    q_nu = _class_probabilities(protocol.nu, protocol.p_nu, m)
+    _, s_mu = _intensity_table(protocol.mu, m)
+    _, s_nu = _intensity_table(protocol.nu, m)
+    s_pair = _pair_distinguishabilities(protocol.mu, protocol.nu, m)
+    p_vac = protocol.p_o**2
+    pairs = [
+        ("vacuum_mu", 0, p_vac, q_mu[0], s_mu, counts.n_0, counts.n_2mu),
+        ("vacuum_nu", 0, p_vac, q_nu[0], s_nu, counts.n_0, counts.n_2nu),
+    ]
+    pairs += [
+        ("decoy_pair", j, q_mu[j], q_nu[j], s_pair[j], counts.n_2mu, counts.n_2nu)
+        for j in range(m)
+    ]
+    return _lemma_gaps(pairs, float(protocol.n_total), eps_a)
 
 
 def gap_bound_decoy(
@@ -175,13 +225,7 @@ def gap_bound_decoy(
     m = protocol.n_phases
     if not 0 <= j < m:
         raise ValueError(f"j={j} outside [0, {m - 1}]")
-    p1 = _class_probability(j, protocol.mu, protocol.p_mu, m)
-    p2 = _class_probability(j, protocol.nu, protocol.p_nu, m)
-    s = folded_distinguishability(j, protocol.mu, protocol.nu, m)
-    return _lemma_gap(
-        "decoy_pair", j, p1, p2, s, float(protocol.n_total),
-        counts.n_2mu, counts.n_2nu, eps_a,
-    )
+    return _gap_bounds(protocol, counts, eps_a)[2 + j]
 
 
 def gap_bound_vacuum(
@@ -189,20 +233,20 @@ def gap_bound_vacuum(
 ) -> GapBound:
     """Gap bound anchoring the class-0 yield of intensity `which` ("mu" or
     "nu") to the observed vacuum count."""
-    m = protocol.n_phases
-    if which == "mu":
-        beta, p_label, count_beta = protocol.mu, protocol.p_mu, counts.n_2mu
-    elif which == "nu":
-        beta, p_label, count_beta = protocol.nu, protocol.p_nu, counts.n_2nu
-    else:
+    if which not in ("mu", "nu"):
         raise ValueError(f"which={which!r} must be 'mu' or 'nu'")
-    p1 = protocol.p_o**2
-    p2 = _class_probability(0, beta, p_label, m)
-    s = vacuum_distinguishability(beta, m)
-    return _lemma_gap(
-        f"vacuum_{which}", 0, p1, p2, s, float(protocol.n_total),
-        counts.n_0, count_beta, eps_a,
-    )
+    return _gap_bounds(protocol, counts, eps_a)[0 if which == "mu" else 1]
+
+
+def _upper_bounds(
+    intensity: float, p_label: float, protocol: ProtocolParams, eps_a: float
+) -> list[float]:
+    """variable_upper_bound of classes 0..M-1 at the given intensity and
+    label probability."""
+    n_total = float(protocol.n_total)
+    dev = 3.0 * math.log(1.0 / eps_a)
+    means = [n_total * q for q in _class_probabilities(intensity, p_label, protocol.n_phases)]
+    return [mean + math.sqrt(dev * mean) for mean in means]
 
 
 def variable_upper_bound(
@@ -219,8 +263,7 @@ def variable_upper_bound(
         beta, p_label = protocol.nu, protocol.p_nu
     else:
         raise ValueError(f"which={which!r} must be 'mu' or 'nu'")
-    mean = float(protocol.n_total) * _class_probability(j, beta, p_label, m)
-    return mean + math.sqrt(3.0 * math.log(1.0 / eps_a) * mean)
+    return _upper_bounds(beta, p_label, protocol, eps_a)[j]
 
 
 @dataclass
@@ -294,12 +337,7 @@ def build_lp(
     a_eq[1, m:] = 1.0
     b_eq = np.array([counts.n_2mu, counts.n_2nu]) / n_total
 
-    bounds: list[GapBound] = [
-        gap_bound_vacuum("mu", protocol, counts, eps_a),
-        gap_bound_vacuum("nu", protocol, counts, eps_a),
-    ]
-    bounds += [gap_bound_decoy(j, protocol, counts, eps_a) for j in range(m)]
-
+    bounds = _gap_bounds(protocol, counts, eps_a)
     rows = []
     rhs = []
     n0_scaled = counts.n_0 / n_total
@@ -322,10 +360,10 @@ def build_lp(
             rows.append(-row)
             rhs.append(delta_scaled + gb.coeff_left * n0_scaled)
 
-    upper = np.empty(nvars)
-    for j in range(m):
-        upper[j] = variable_upper_bound(j, "mu", protocol, eps_a) / n_total
-        upper[m + j] = variable_upper_bound(j, "nu", protocol, eps_a) / n_total
+    upper = np.array(
+        _upper_bounds(protocol.mu, protocol.p_mu, protocol, eps_a)
+        + _upper_bounds(protocol.nu, protocol.p_nu, protocol, eps_a)
+    ) / n_total
 
     charges = _CHARGES_PER_GAP * len(bounds) + _CHARGES_PER_BOX * nvars
     lp = LinearProgram(
@@ -349,6 +387,7 @@ _DUMP_HEADER = "tfqkd-lp 1"
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits: exact for binary64 round-trips."""
     return format(x, ".17g")
 
 

@@ -4,6 +4,7 @@ length, and aggregates the per-distance report."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .channel import (
@@ -16,7 +17,7 @@ from .channel import (
 )
 from .constraints import LinearProgram, SecurityBudget, build_lp
 from .numerics import binary_entropy, plob_bound
-from .simplex import LPSolution, solve_max
+from .simplex import LPSolution, solve_max, solve_max_batch
 
 
 class PhaseErrorInfeasible(RuntimeError):
@@ -70,6 +71,13 @@ def _solve_phase_error(
     return lp, sol
 
 
+def _phase_errors(objective_value: float, scale: float, n_bit: float) -> tuple[float, float]:
+    """Phase-error count from a phase-error LP optimum in units of `scale`,
+    and the rate over n_bit, both clamped (count >= 0, rate in [0, 1])."""
+    n_ph = max(0.0, objective_value * scale)
+    return n_ph, min(1.0, max(0.0, n_ph / n_bit))
+
+
 def phase_error_upper_bound(
     protocol: ProtocolParams,
     counts: ObservedCounts,
@@ -79,9 +87,7 @@ def phase_error_upper_bound(
     """Maximum number of phase errors consistent with the observations, and
     the corresponding rate (clamped to [0, 1])."""
     lp, sol = _solve_phase_error(protocol, counts, budget, gap_scale=gap_scale)
-    n_ph = max(0.0, sol.objective_value * lp.scale)
-    e_ph = min(1.0, max(0.0, n_ph / counts.n_bit))
-    return n_ph, e_ph
+    return _phase_errors(sol.objective_value, lp.scale, counts.n_bit)
 
 
 def key_length(
@@ -105,6 +111,48 @@ def key_length(
         - math.log2(1.0 / (4.0 * budget.eps_pa**2))
     )
     return max(0.0, l)
+
+
+def key_lengths(
+    candidates: Sequence[ProtocolParams],
+    observations: Sequence[ObservedCounts | None],
+    channel: ChannelParams,
+    budget: SecurityBudget,
+) -> list[float]:
+    """Key length of each candidate protocol from its observations (None
+    for a candidate without detections), as analyze would report it.
+
+    A candidate whose key would be zero even without phase errors skips
+    the LP. The phase-error LPs of the others are solved together by
+    solve_max_batch; an infeasible LP yields zero key.
+    """
+    overhead = math.log2(2.0 / budget.eps_cor) + math.log2(1.0 / (4.0 * budget.eps_pa**2))
+    todo = [
+        i
+        for i, counts in enumerate(observations)
+        if counts is not None
+        and counts.n_bit - counts.n_bit * channel.f_ec * binary_entropy(counts.e_bit) - overhead
+        > 0.0
+    ]
+    scales = []
+
+    def phase_error_lps():
+        for i in todo:
+            lp = build_lp(candidates[i], observations[i], budget)
+            scales.append(lp.scale)
+            yield lp
+
+    solutions = solve_max_batch(phase_error_lps())
+    keys = [0.0] * len(candidates)
+    for i, scale, sol in zip(todo, scales, solutions):
+        if sol.status == "infeasible":
+            continue
+        if sol.status != "optimal":
+            raise RuntimeError(f"unexpected LP status {sol.status!r}")
+        counts = observations[i]
+        _, e_ph = _phase_errors(sol.objective_value, scale, counts.n_bit)
+        keys[i] = key_length(counts.n_bit, counts.e_bit, e_ph, channel, budget)
+    return keys
 
 
 def end_to_end_plob(
@@ -174,8 +222,7 @@ def analyze(
     except PhaseErrorInfeasible:
         return zero_report("infeasible", counts)
 
-    n_ph = max(0.0, sol.objective_value * lp.scale)
-    e_ph = min(1.0, max(0.0, n_ph / counts.n_bit))
+    n_ph, e_ph = _phase_errors(sol.objective_value, lp.scale, counts.n_bit)
     l = key_length(counts.n_bit, counts.e_bit, e_ph, channel, budget)
     return KeyRateReport(
         l_km=l_km,

@@ -11,6 +11,7 @@ fidelity helpers apply that doubling internally.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 # Tail terms below this threshold are dropped once the running index has
@@ -181,21 +182,12 @@ def vacuum_fidelity(intensity: float, m_phases: int) -> float:
     """Fidelity-style overlap between the vacuum and the folded class-0
     two-pulse state of the given per-pulse intensity: P(0) over the folded
     class-0 weight, both at Poisson mean 2*intensity.
-
-    This is the plain ratio without a square root; see
-    vacuum_fidelity_sqrt for the square-rooted variant.
     """
     if intensity < 0.0:
         raise ValueError("intensity must be >= 0")
     _check_fold_args(0, m_phases)
     mean = 2.0 * intensity
     return poisson_pmf(0, mean) / folded_poisson(0, mean, m_phases)
-
-
-def vacuum_fidelity_sqrt(intensity: float, m_phases: int) -> float:
-    """Square-rooted variant of vacuum_fidelity, for sensitivity studies of
-    the pure-against-mixed overlap convention. Not used by default."""
-    return math.sqrt(vacuum_fidelity(intensity, m_phases))
 
 
 def chernoff_delta(x: float, y: float, z: float) -> Deviation:
@@ -205,16 +197,27 @@ def chernoff_delta(x: float, y: float, z: float) -> Deviation:
     A negative x (which arises when forming residual trial counts from
     sampled data) is clamped to zero and flagged in the result.
     """
+    return chernoff_deltas((x,), (y,), z)[0]
+
+
+def chernoff_deltas(xs: Sequence[float], ys: Sequence[float], z: float) -> list[Deviation]:
+    """chernoff_delta for each pair (x, y) at a shared failure probability
+    z, in one call."""
     if not 0.0 < z < 1.0:
         raise ValueError(f"failure probability z={z} outside (0, 1)")
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"per-trial rate y={y} outside [0, 1]")
-    clamped = x < 0.0
-    if clamped:
-        x = 0.0
-    if x == 0.0 or y == 0.0:
-        return Deviation(0.0, clamped)
-    return Deviation(math.sqrt(3.0 * x * y * math.log(1.0 / z)), clamped)
+    log_inv_z = math.log(1.0 / z)
+    out = []
+    for x, y in zip(xs, ys):
+        if not 0.0 <= y <= 1.0:
+            raise ValueError(f"per-trial rate y={y} outside [0, 1]")
+        clamped = x < 0.0
+        if clamped:
+            x = 0.0
+        if x == 0.0 or y == 0.0:
+            out.append(Deviation(0.0, clamped))
+        else:
+            out.append(Deviation(math.sqrt(3.0 * x * y * log_inv_z), clamped))
+    return out
 
 
 def plob_bound(eta: float) -> float:

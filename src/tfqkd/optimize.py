@@ -17,14 +17,7 @@ from .channel import (
     expected_observations,
 )
 from .constraints import SecurityBudget
-from .keyrate import (
-    KeyRateReport,
-    PhaseErrorInfeasible,
-    _solve_phase_error,
-    analyze,
-    key_length,
-)
-from .numerics import binary_entropy
+from .keyrate import KeyRateReport, analyze, key_lengths
 
 
 class EmptyFeasibleRegion(ValueError):
@@ -94,34 +87,6 @@ def _shrunk(center: float, lo: float, hi: float, outer: tuple[float, float], geo
     return new_lo, new_hi
 
 
-def _key_length_fast(
-    protocol: ProtocolParams,
-    channel: ChannelParams,
-    l_km: float,
-    budget: SecurityBudget,
-    detector_in_eta: bool,
-) -> float:
-    """Evaluate the objective, skipping the LP when even a zero phase-error
-    rate could not yield a positive key."""
-    try:
-        counts = expected_observations(
-            protocol, channel, l_km, detector_in_eta=detector_in_eta
-        )
-    except NoDetections:
-        return 0.0
-    overhead = math.log2(2.0 / budget.eps_cor) + math.log2(1.0 / (4.0 * budget.eps_pa**2))
-    h_ec = counts.n_bit * channel.f_ec * binary_entropy(counts.e_bit)
-    if counts.n_bit - h_ec - overhead <= 0.0:
-        return 0.0
-    try:
-        lp, sol = _solve_phase_error(protocol, counts, budget)
-    except (NoDetections, PhaseErrorInfeasible):
-        return 0.0
-    n_ph = max(0.0, sol.objective_value * lp.scale)
-    e_ph = min(1.0, n_ph / counts.n_bit)
-    return key_length(counts.n_bit, counts.e_bit, e_ph, channel, budget)
-
-
 def optimize_point(
     channel: ChannelParams,
     l_km: float,
@@ -134,9 +99,10 @@ def optimize_point(
 ) -> tuple[ProtocolParams, KeyRateReport]:
     """Grid-then-refine search for the key-maximizing protocol parameters.
 
-    Scan order is lexicographic in (mu, nu, p_mu, p_nu); an incumbent is
-    replaced only by a strictly larger key length, so ties resolve to the
-    first point in scan order.
+    Each grid round is evaluated as one batch (keyrate.key_lengths), then
+    scanned. Scan order is lexicographic in (mu, nu, p_mu, p_nu); an
+    incumbent is replaced only by a strictly larger key length, so ties
+    resolve to the first point in scan order.
     """
     windows = {
         "mu": space.mu_range,
@@ -153,12 +119,22 @@ def optimize_point(
             _lin_grid(*windows["p_mu"], k),
             _lin_grid(*windows["p_nu"], k),
         )
+        candidates = []
+        observations = []
         for mu, nu, p_mu, p_nu in grid:
             if p_mu + p_nu > 1.0 + 1e-12:
                 continue
             p_o = max(0.0, 1.0 - p_mu - p_nu)
             cand = ProtocolParams(mu, nu, p_mu, p_nu, p_o, n_phases, int(n_total))
-            val = _key_length_fast(cand, channel, l_km, budget, detector_in_eta)
+            try:
+                counts = expected_observations(
+                    cand, channel, l_km, detector_in_eta=detector_in_eta
+                )
+            except NoDetections:
+                counts = None
+            candidates.append(cand)
+            observations.append(counts)
+        for val, cand in zip(key_lengths(candidates, observations, channel, budget), candidates):
             if best is None or val > best[0]:
                 best = (val, cand)
         if best is None:
@@ -251,13 +227,13 @@ def sweep(
     return out
 
 
-def default_threads() -> int:
+def default_threads(fallback: int = 1) -> int:
     """Worker count for parallel sweeps: the TFQKD_THREADS environment
-    variable when set, else 1."""
+    variable when it is set to an integer, else `fallback`."""
     env = os.environ.get("TFQKD_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    return 1
+    return fallback

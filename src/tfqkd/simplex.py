@@ -1,10 +1,10 @@
 """Deterministic dense LP solving: a two-phase bounded-variable simplex
-with Bland's anti-cycling rule, plus a vertex-enumeration oracle for
-testing small instances."""
+with Bland's anti-cycling rule, for one LP at a time (solve_max) or for many
+LPs pivoted together on stacked tableaux (solve_max_batch)."""
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +17,10 @@ PIVOT_EPS = 1e-10
 OPT_TOL = 1e-9
 FEAS_TOL = 1e-9
 MAX_PIVOTS = 20000
+# Most LPs stacked into one batched tableau, and most unsolved LPs held by
+# solve_max_batch. Stacks of this size are as fast as a whole search round
+# (hundreds of LPs) at once, and keep the memory held small.
+BATCH_CHUNK = 32
 
 
 @dataclass
@@ -215,65 +219,222 @@ def solve_max(lp: LinearProgram) -> LPSolution:
     )
 
 
-def brute_force_solve(lp: LinearProgram, max_vars: int = 10) -> LPSolution:
-    """Enumerate every basic point from active-constraint subsets and return
-    the feasible maximum. Test oracle only: requires few variables and
-    finite boxes.
+# Per-member simplex state that _Stack.run keeps for its caller; the
+# tableau and basic values it leaves stale are recomputed by refresh.
+_RUN_STATE = ("basis", "at_upper", "is_basic", "iterations")
+
+
+class _Stack:
+    """_Tableau states of equal shape (rows, structural, slack and
+    artificial columns), stacked along a leading member axis and pivoted
+    together. Member k is the caller's LP ids[k], with objective
+    objective[k].
+
+    Each member repeats the arithmetic _Tableau does on it alone: the
+    elementwise steps are the same operations, every reduction runs within
+    one member, and the stacked products and solves call the same BLAS and
+    LAPACK routines on operands of the same shape. So each member takes the
+    same pivots and ends with the same numbers as under solve_max.
     """
-    lp.validate()
-    n = lp.num_vars
-    if n > max_vars:
-        raise ValueError(f"brute force capped at {max_vars} variables, got {n}")
-    if not (np.all(np.isfinite(lp.lower)) and np.all(np.isfinite(lp.upper))):
-        raise ValueError("brute force requires finite variable boxes")
 
-    # Candidate active constraints beyond the equalities: inequality rows and
-    # both box faces of every variable.
-    rows = [(np.asarray(a, dtype=float), float(b)) for a, b in zip(lp.a_ub, lp.b_ub)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        rows.append((e.copy(), float(lp.upper[i])))
-        rows.append((-e, float(-lp.lower[i])))
+    def __init__(self, ids: list[int], objectives: list[np.ndarray], tableaux: list[_Tableau]):
+        first = tableaux[0]
+        self.n_struct = first.n_struct
+        self.n_real = first.n_real
+        self.n_art = first.n_art
+        self.m = first.m
+        self.ids = np.asarray(ids, dtype=np.intp)
+        self.objective = np.array(objectives)
+        for name in ("a", "b", "tab", "x_basic", "lo", "up", "at_upper", "is_basic"):
+            setattr(self, name, np.stack([getattr(tb, name) for tb in tableaux]))
+        self.basis = np.array([tb.basis for tb in tableaux], dtype=np.intp).reshape(
+            len(tableaux), self.m
+        )
+        self.iterations = np.zeros(len(tableaux), dtype=np.int64)
 
-    a_eq = np.asarray(lp.a_eq, dtype=float).reshape(-1, n)
-    b_eq = np.asarray(lp.b_eq, dtype=float)
-    rank_eq = np.linalg.matrix_rank(a_eq) if a_eq.size else 0
-    n_extra = n - rank_eq
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the members where mask is False."""
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[mask])
 
-    mags = [1.0, float(np.max(np.abs(lp.upper)))]
-    if len(lp.b_ub):
-        mags.append(float(np.max(np.abs(lp.b_ub))))
-    tol = 1e-9 * max(mags)
+    def solution_vectors(self) -> np.ndarray:
+        x = np.where(self.at_upper, self.up, self.lo)
+        np.put_along_axis(x, self.basis, self.x_basic, axis=1)
+        return x
 
-    def feasible(x: np.ndarray) -> bool:
-        if a_eq.size and np.max(np.abs(a_eq @ x - b_eq)) > tol:
-            return False
-        if len(lp.b_ub) and np.max(lp.a_ub @ x - lp.b_ub) > tol:
-            return False
-        return bool(np.all(x >= lp.lower - tol) and np.all(x <= lp.upper + tol))
+    def refresh(self) -> np.ndarray:
+        """_Tableau.refresh for each member; returns the basis matrices."""
+        bmat = np.take_along_axis(self.a, self.basis[:, None, :], axis=2)
+        self.tab = np.linalg.solve(bmat, self.a)
+        vals = np.where(self.at_upper, self.up, self.lo)
+        np.put_along_axis(vals, self.basis, 0.0, axis=1)
+        rhs = self.b - (self.a @ vals[:, :, None])[:, :, 0]
+        self.x_basic = np.linalg.solve(bmat, rhs[:, :, None])[:, :, 0]
+        return bmat
 
-    best_val = -np.inf
-    best_x = None
-    for combo in itertools.combinations(range(len(rows)), n_extra):
-        mats = [a_eq] if a_eq.size else []
-        rhs = [b_eq] if a_eq.size else []
-        for k in combo:
-            mats.append(rows[k][0][None, :])
-            rhs.append(np.array([rows[k][1]]))
-        mat = np.vstack(mats) if mats else np.zeros((0, n))
-        vec = np.concatenate(rhs) if rhs else np.zeros(0)
-        x, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-        if mat.size and np.max(np.abs(mat @ x - vec)) > tol:
-            continue  # inconsistent active set
-        if feasible(x):
-            val = float(lp.objective @ x)
-            if val > best_val:
-                best_val = val
-                best_x = x
-    if best_x is None:
-        return LPSolution("infeasible", np.nan, np.empty(0), 0)
-    return LPSolution("optimal", best_val, best_x, 0)
+    def run(self, c: np.ndarray) -> np.ndarray:
+        """_Tableau.run for each member k, maximizing c[k] . x. A member
+        leaves the working set as soon as it is optimal or unbounded, so
+        later iterations cost only what the others need. Leaves tab and
+        x_basic for refresh to recompute. Returns the unbounded mask."""
+        scale = np.max(np.abs(c), axis=1)
+        tol = OPT_TOL * np.where(scale > 1.0, scale, 1.0)
+        unbounded = np.zeros(len(self.basis), dtype=bool)
+        idx = np.arange(len(self.basis))
+        w = {name: getattr(self, name) for name in _RUN_STATE}
+        w.update(tab=self.tab, x_basic=self.x_basic, lo=self.lo, up=self.up, c=c, tol=tol)
+        self.tab = self.x_basic = None
+        while idx.size:
+            if np.any(w["iterations"] >= MAX_PIVOTS):
+                raise RuntimeError("simplex exceeded pivot limit")
+            optimal = self._price(w)
+            finished = optimal | ~np.isfinite(w["theta"])
+            if finished.any():
+                unbounded[idx[finished & ~optimal]] = True
+                for name in _RUN_STATE:
+                    getattr(self, name)[idx[finished]] = w[name][finished]
+                keep = ~finished
+                idx = idx[keep]
+                w = {k: v[keep] for k, v in w.items()}
+            if idx.size:
+                self._pivot(w)
+        return unbounded
+
+    def solve(self, out: list) -> None:
+        """solve_max on every member; writes member k's result to
+        out[ids[k]]."""
+        n_all = self.a.shape[2]
+        if self.n_art:
+            c_phase1 = np.zeros((len(self.ids), n_all))
+            c_phase1[:, self.n_real :] = -1.0
+            self.run(c_phase1)
+            self.refresh()
+            x = self.solution_vectors()
+            feasible = np.ones(len(self.ids), dtype=bool)
+            for k, i in enumerate(self.ids):
+                art_sum = float(np.sum(x[k, self.n_real :]))
+                if art_sum > FEAS_TOL * max(1.0, float(np.max(np.abs(self.b[k]), initial=0.0))):
+                    out[i] = LPSolution("infeasible", np.nan, np.empty(0), int(self.iterations[k]))
+                    feasible[k] = False
+            self.keep(feasible)
+
+        # Pin the artificials at zero and optimize the real objective.
+        self.up[:, self.n_real :] = 0.0
+        c_phase2 = np.zeros((len(self.ids), n_all))
+        c_phase2[:, : self.n_struct] = self.objective
+        unbounded = self.run(c_phase2)
+        for k in np.flatnonzero(unbounded):
+            out[self.ids[k]] = LPSolution("unbounded", np.inf, np.empty(0), int(self.iterations[k]))
+        self.keep(~unbounded)
+        if not len(self.ids):
+            return
+        bmat = self.refresh()
+        x = self.solution_vectors()
+        c_basic = np.take_along_axis(c_phase2[~unbounded], self.basis, axis=1)
+        y = np.linalg.solve(np.swapaxes(bmat, 1, 2), c_basic[:, :, None])[:, :, 0]
+        y_a = (y[:, None, :] @ self.a[:, :, : self.n_struct])[:, 0, :]
+        for k, i in enumerate(self.ids):
+            x_struct = x[k, : self.n_struct].copy()
+            out[i] = LPSolution(
+                status="optimal",
+                objective_value=float(self.objective[k] @ x_struct),
+                variable_values=x_struct,
+                iterations=int(self.iterations[k]),
+                row_duals=y[k],
+                reduced_costs=self.objective[k] - y_a[k],
+            )
+
+    def _price(self, w: dict) -> np.ndarray:
+        """Entering column, step direction and ratio test of each working
+        member, stored into w. Returns the mask of optimal members."""
+        tab, basis, at_upper, c = w["tab"], w["basis"], w["at_upper"], w["c"]
+        rows = np.arange(len(basis))
+        per_row = rows[:, None]
+        d = c - (c[per_row, basis][:, None, :] @ tab)[:, 0, :]
+        tol = w["tol"][:, None]
+        eligible = ~w["is_basic"] & ((~at_upper & (d > tol)) | (at_upper & (d < -tol)))
+        j = np.argmax(eligible, axis=1)  # lowest eligible index (Bland)
+        t = np.where(at_upper[rows, j], -1.0, 1.0)
+        step = -t[:, None] * tab[rows, :, j]  # d(x_basic)/d(theta)
+
+        lo, up, x_basic = w["lo"], w["up"], w["x_basic"]
+        lo_b = lo[per_row, basis]
+        up_b = up[per_row, basis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(
+                step < -PIVOT_EPS,
+                (x_basic - lo_b) / -step,
+                np.where(step > PIVOT_EPS, (up_b - x_basic) / step, np.inf),
+            )
+            ratio = np.maximum(ratio, 0.0)  # degenerate negatives are zero steps
+            theta_rows = ratio.min(axis=1, initial=np.inf)
+            theta_bound = up[rows, j] - lo[rows, j]
+        # min(theta_rows, theta_bound) with Python's tie rule.
+        w["theta"] = np.where(theta_bound < theta_rows, theta_bound, theta_rows)
+        w["flip"] = theta_bound <= theta_rows
+        w["j"], w["t"], w["step"], w["ratio"] = j, t, step, ratio
+        return ~eligible.any(axis=1)
+
+    def _pivot(self, w: dict) -> None:
+        """Apply the step _price chose: a bound flip or a basis change."""
+        theta, step, j = w["theta"], w["step"], w["j"]
+        w["iterations"] += 1
+        w["x_basic"] += theta[:, None] * step
+        flips = np.flatnonzero(w["flip"])
+        # Bound flip: j swaps ends without entering the basis.
+        w["at_upper"][flips, j[flips]] = ~w["at_upper"][flips, j[flips]]
+        p = np.flatnonzero(~w["flip"])
+        if not p.size:
+            return
+        theta, step, j = theta[p], step[p], j[p]
+        basis, tab = w["basis"], w["tab"]
+        tie = w["ratio"][p] <= (theta + 1e-12 * (1.0 + theta))[:, None]
+        r = np.argmin(np.where(tie, basis[p], np.iinfo(np.intp).max), axis=1)  # Bland tie-break
+        leaving = basis[p, r]
+        enter_val = np.where(w["t"][p] > 0, w["lo"][p, j] + theta, w["up"][p, j] - theta)
+        basis[p, r] = j
+        w["is_basic"][p, leaving] = False
+        w["is_basic"][p, j] = True
+        w["at_upper"][p, leaving] = step[np.arange(p.size), r] > 0.0  # hit its upper bound
+        w["at_upper"][p, j] = False
+        w["x_basic"][p, r] = enter_val
+
+        row = tab[p, r, :] / tab[p, r, j][:, None]
+        tab[p, r, :] = row
+        col = tab[p, :, j]
+        col[np.arange(p.size), r] = 0.0
+        update = col[:, :, None] * row[:, None, :]
+        if p.size == len(tab):
+            tab -= update
+        else:
+            tab[p] -= update
+
+
+def solve_max_batch(lps: Iterable[LinearProgram]) -> list[LPSolution]:
+    """solve_max on each LP, with the pivots of many LPs done together.
+
+    LPs whose tableaux have the same shape are stacked, up to BATCH_CHUNK at
+    a time, and pivoted as one; a member leaves the stack when it finishes.
+    Result i equals solve_max(lps[i]) bit for bit: status, pivot count,
+    values and duals. The per-pivot overhead is shared by the stack, so this
+    pays off for many LPs, while solve_max is faster for a single one. The
+    LPs are read lazily; each shape's stack is solved as soon as it is full,
+    so at most BATCH_CHUNK - 1 unsolved tableaux of each shape are held.
+    """
+    results: list[LPSolution | None] = []
+    pending: dict[tuple[int, int, int, int], list[tuple[int, np.ndarray, _Tableau]]] = {}
+    for lp in lps:
+        tb = _Tableau(lp)
+        key = (tb.m, tb.n_struct, tb.n_real, tb.n_art)
+        pending.setdefault(key, []).append((len(results), lp.objective, tb))
+        results.append(None)
+        # The stack copies the tableaux, so a solved group is dropped first.
+        if len(pending[key]) == BATCH_CHUNK:
+            _Stack(*zip(*pending.pop(key))).solve(results)
+    while pending:
+        _Stack(*zip(*pending.popitem()[1])).solve(results)
+    return results
 
 
 def load_lp(path) -> LinearProgram:

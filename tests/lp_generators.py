@@ -1,9 +1,13 @@
-"""Shared random-LP generators for the solver/oracle comparison tests."""
+"""Shared random-LP generators and the vertex-enumeration oracle for the
+solver comparison tests."""
+
+import itertools
 
 import numpy as np
 
 from tfqkd import ChannelParams, ProtocolParams, build_lp, expected_observations, make_budget
 from tfqkd.constraints import LinearProgram
+from tfqkd.simplex import LPSolution
 
 TABLE1 = ChannelParams(e_m=0.03, p_d=1e-8, xi=0.2, eta_d=0.3, f_ec=1.1)
 
@@ -39,3 +43,64 @@ def paper_shaped_lp(rng) -> LinearProgram:
     budget = make_budget(n_phases=2, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20)
     counts = expected_observations(proto, TABLE1, float(rng.uniform(10, 250)))
     return build_lp(proto, counts, budget)
+
+
+def brute_force_solve(lp: LinearProgram, max_vars: int = 10) -> LPSolution:
+    """Enumerate every basic point from active-constraint subsets and return
+    the feasible maximum. Test oracle only: requires few variables and
+    finite boxes.
+    """
+    lp.validate()
+    n = lp.num_vars
+    if n > max_vars:
+        raise ValueError(f"brute force capped at {max_vars} variables, got {n}")
+    if not (np.all(np.isfinite(lp.lower)) and np.all(np.isfinite(lp.upper))):
+        raise ValueError("brute force requires finite variable boxes")
+
+    # Candidate active constraints beyond the equalities: inequality rows and
+    # both box faces of every variable.
+    rows = [(np.asarray(a, dtype=float), float(b)) for a, b in zip(lp.a_ub, lp.b_ub)]
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        rows.append((e.copy(), float(lp.upper[i])))
+        rows.append((-e, float(-lp.lower[i])))
+
+    a_eq = np.asarray(lp.a_eq, dtype=float).reshape(-1, n)
+    b_eq = np.asarray(lp.b_eq, dtype=float)
+    rank_eq = np.linalg.matrix_rank(a_eq) if a_eq.size else 0
+    n_extra = n - rank_eq
+
+    mags = [1.0, float(np.max(np.abs(lp.upper)))]
+    if len(lp.b_ub):
+        mags.append(float(np.max(np.abs(lp.b_ub))))
+    tol = 1e-9 * max(mags)
+
+    def feasible(x: np.ndarray) -> bool:
+        if a_eq.size and np.max(np.abs(a_eq @ x - b_eq)) > tol:
+            return False
+        if len(lp.b_ub) and np.max(lp.a_ub @ x - lp.b_ub) > tol:
+            return False
+        return bool(np.all(x >= lp.lower - tol) and np.all(x <= lp.upper + tol))
+
+    best_val = -np.inf
+    best_x = None
+    for combo in itertools.combinations(range(len(rows)), n_extra):
+        mats = [a_eq] if a_eq.size else []
+        rhs = [b_eq] if a_eq.size else []
+        for k in combo:
+            mats.append(rows[k][0][None, :])
+            rhs.append(np.array([rows[k][1]]))
+        mat = np.vstack(mats) if mats else np.zeros((0, n))
+        vec = np.concatenate(rhs) if rhs else np.zeros(0)
+        x, *_ = np.linalg.lstsq(mat, vec, rcond=None)
+        if mat.size and np.max(np.abs(mat @ x - vec)) > tol:
+            continue  # inconsistent active set
+        if feasible(x):
+            val = float(lp.objective @ x)
+            if val > best_val:
+                best_val = val
+                best_x = x
+    if best_x is None:
+        return LPSolution("infeasible", np.nan, np.empty(0), 0)
+    return LPSolution("optimal", best_val, best_x, 0)

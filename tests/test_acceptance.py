@@ -25,9 +25,9 @@ from tfqkd import (
 from tfqkd.cli import main
 from tfqkd.numerics import chernoff_delta, folded_fidelity, folded_poisson
 from tfqkd.optimize import SearchSpace, sweep
-from tfqkd.simplex import brute_force_solve, solve_max
+from tfqkd.simplex import solve_max
 
-from lp_generators import paper_shaped_lp, random_lp
+from lp_generators import brute_force_solve, paper_shaped_lp, random_lp
 
 CHANNEL = ChannelParams(e_m=0.03, p_d=1e-8, xi=0.2, eta_d=0.3, f_ec=1.1)
 BUDGET = make_budget(n_phases=8, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20)

@@ -57,6 +57,11 @@ class TestConfigParsing:
         cfg = parse_config(base_config(distances={"start": 10, "stop": 30, "step": 10}))
         assert cfg.distances == [10.0, 20.0, 30.0]
 
+    def test_fractional_step_range_is_not_accumulated(self):
+        cfg = parse_config(base_config(distances={"start": 10, "stop": 480, "step": 0.1}))
+        assert len(cfg.distances) == 4701
+        assert all(d == 10.0 + i * 0.1 for i, d in enumerate(cfg.distances))
+
     def test_unsorted_distances(self):
         with pytest.raises(ConfigError, match="increasing"):
             parse_config(base_config(distances=[30.0, 10.0]))
@@ -131,6 +136,35 @@ class TestAnalyzeCommand:
             ["analyze", "--config", cfg_path, "--out", str(tmp_path / "no_dir" / "o.csv")]
         )
         assert rc == 2
+
+
+class TestThreadPrecedence:
+    """--threads beats TFQKD_THREADS, which beats the config value."""
+
+    @pytest.mark.parametrize(
+        "env, flag, expected",
+        [(None, None, 2), ("1", None, 1), ("3", None, 3), ("1", "4", 4), (None, "1", 1)],
+    )
+    def test_worker_count_reaching_sweep(self, tmp_path, monkeypatch, env, flag, expected):
+        import tfqkd.cli
+
+        seen = []
+
+        def fake_sweep(*args, threads, **kwargs):
+            seen.append(threads)
+            raise RuntimeError("stop after recording the worker count")
+
+        monkeypatch.setattr(tfqkd.cli, "sweep", fake_sweep)
+        if env is None:
+            monkeypatch.delenv("TFQKD_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TFQKD_THREADS", env)
+        cfg = base_config(optimize=True, threads=2)
+        argv = ["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert main(argv) == 3
+        assert seen == [expected]
 
 
 class TestSweepCommand:

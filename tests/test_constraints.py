@@ -16,7 +16,9 @@ from tfqkd import (
 )
 from tfqkd.constraints import budget_multiplier, dump_lp
 from tfqkd.numerics import folded_poisson
-from tfqkd.simplex import brute_force_solve, load_lp
+from tfqkd.simplex import load_lp
+
+from lp_generators import brute_force_solve
 
 GOLDEN = Path(__file__).parent / "golden" / "lp_m8_table1_L100.txt"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from tfqkd import (
     key_length,
     phase_error_upper_bound,
 )
+from tfqkd.keyrate import key_lengths
 from tfqkd.numerics import folded_poisson
 from tfqkd.simplex import solve_max
 
@@ -183,6 +185,24 @@ class TestAnalyze:
         a = analyze(protocol_m8, channel, 100.0, budget_m8, mode="sampled", seed=7)
         b = analyze(protocol_m8, channel, 100.0, budget_m8, mode="sampled", seed=7)
         assert a == b
+
+    def test_batch_key_lengths_match_analyze(self, channel, budget_m8, protocol_m8):
+        candidates, observations, expected = [], [], []
+        for l_km, p_mu in ((40.0, 0.6), (120.0, 0.6), (120.0, 0.5), (600.0, 0.6)):
+            proto = ProtocolParams.make(0.05, 0.1, p_mu, 0.3, 8, int(1e12))
+            candidates.append(proto)
+            observations.append(expected_observations(proto, channel, l_km))
+            expected.append(analyze(proto, channel, l_km, budget_m8).key_length)
+        bad = observations[1]
+        candidates.append(candidates[1])
+        observations.append(dataclasses.replace(bad, n_2nu=3.0 * bad.n_2nu))
+        expected.append(0.0)  # infeasible phase-error LP
+        candidates.append(candidates[0])
+        observations.append(None)  # no detections
+        expected.append(0.0)
+        got = key_lengths(candidates, observations, channel, budget_m8)
+        assert got == expected
+        assert got[0] > 0.0
 
     def test_rejects_unknown_mode(self, channel, budget_m8, protocol_m8):
         with pytest.raises(ValueError):

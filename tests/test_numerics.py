@@ -16,7 +16,6 @@ from tfqkd.numerics import (
     poisson_pmf,
     vacuum_distinguishability,
     vacuum_fidelity,
-    vacuum_fidelity_sqrt,
 )
 
 # Golden values below were computed once with mpmath at 50 decimal digits
@@ -166,11 +165,6 @@ class TestVacuumFidelity:
     @pytest.mark.parametrize("intensity", [0.01, 0.1, 0.5, 1.0])
     def test_in_unit_interval(self, intensity):
         assert 0.0 <= vacuum_fidelity(intensity, 8) <= 1.0
-
-    def test_sqrt_variant(self):
-        assert vacuum_fidelity_sqrt(0.3, 8) == pytest.approx(
-            math.sqrt(vacuum_fidelity(0.3, 8)), rel=1e-15
-        )
 
     def test_vacuum_distinguishability_golden(self):
         assert vacuum_distinguishability(0.05, 8) == pytest.approx(

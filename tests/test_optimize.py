@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,15 @@ from tfqkd import (
     analyze,
     make_budget,
 )
-from tfqkd.optimize import EmptyFeasibleRegion, SearchSpace, optimize_point, sweep
+from tfqkd.optimize import (
+    EmptyFeasibleRegion,
+    SearchSpace,
+    _geom_grid,
+    _lin_grid,
+    _shrunk,
+    optimize_point,
+    sweep,
+)
 
 # Small-round-count settings keep the grid search quick. Eight phase
 # slices are the smallest count that yields any key at all, so the
@@ -106,6 +116,40 @@ class TestOptimizePoint:
         _, r0 = optimize_point(channel, 50.0, FAST["n_phases"], FAST["n_total"], budget_fast, space0)
         _, r2 = optimize_point(channel, 50.0, FAST["n_phases"], FAST["n_total"], budget_fast, space2)
         assert r2.key_length >= r0.key_length * (1.0 - 1e-12)
+
+    def test_matches_scalar_scan_with_analyze(self, channel, budget_fast):
+        # The batched rounds must pick what a one-candidate-at-a-time scan
+        # picks: lexicographic order, strict improvement only.
+        space = tiny_space(grid_density=3, refinement_rounds=2)
+        l_km = 50.0
+        windows = [space.mu_range, space.nu_range, space.p_mu_range, space.p_nu_range]
+        outer = list(windows)
+        geometric = [True, True, False, False]
+        best = None
+        for round_idx in range(space.refinement_rounds + 1):
+            axes = [
+                (_geom_grid if geo else _lin_grid)(*win, space.grid_density)
+                for win, geo in zip(windows, geometric)
+            ]
+            for mu, nu, p_mu, p_nu in itertools.product(*axes):
+                if p_mu + p_nu > 1.0 + 1e-12:
+                    continue
+                cand = ProtocolParams(
+                    mu, nu, p_mu, p_nu, max(0.0, 1.0 - p_mu - p_nu), **FAST
+                )
+                key = analyze(cand, channel, l_km, budget_fast).key_length
+                if best is None or key > best[0]:
+                    best = (key, cand)
+            values = (best[1].mu, best[1].nu, best[1].p_mu, best[1].p_nu)
+            windows = [
+                _shrunk(v, *win, out, geo)
+                for v, win, out, geo in zip(values, windows, outer, geometric)
+            ]
+        params, report = optimize_point(
+            channel, l_km, FAST["n_phases"], FAST["n_total"], budget_fast, space
+        )
+        assert params == best[1]
+        assert report.key_length == best[0] > 0.0
 
     def test_deterministic(self, channel, budget_fast):
         space = tiny_space()

@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from tfqkd import build_lp, expected_observations
+from tfqkd import ProtocolParams, build_lp, expected_observations
 from tfqkd.constraints import LinearProgram
-from tfqkd.simplex import brute_force_solve, load_lp, solve_max
+from tfqkd.optimize import _geom_grid, _lin_grid
+from tfqkd.simplex import load_lp, solve_max, solve_max_batch
 
-from lp_generators import paper_shaped_lp, random_lp
+from lp_generators import brute_force_solve, paper_shaped_lp, random_lp
 
 
 def box_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lower=None, upper=None):
@@ -170,6 +174,74 @@ class TestSolverContracts:
         lp = build_lp(protocol_m8, counts, budget_m8)
         sol = solve_max(lp)
         assert sol.objective_value * lp.scale <= counts.n_2mu * (1.0 + 1e-9)
+
+
+def assert_same_solutions(lps):
+    """solve_max_batch must reproduce solve_max exactly on every LP."""
+    batched = solve_max_batch(lps)
+    assert len(batched) == len(lps)
+    for lp, got in zip(lps, batched):
+        want = solve_max(lp)
+        assert got.status == want.status
+        assert got.iterations == want.iterations
+        if want.status == "infeasible":
+            assert np.isnan(got.objective_value)
+        else:
+            assert got.objective_value == want.objective_value
+        np.testing.assert_array_equal(got.variable_values, want.variable_values)
+        np.testing.assert_array_equal(got.row_duals, want.row_duals)
+        np.testing.assert_array_equal(got.reduced_costs, want.reduced_costs)
+    return batched
+
+
+class TestBatchedSolver:
+    def test_generator_instances_by_shape(self):
+        # The 1050 instances of acceptance criterion 4, in its draw order.
+        rng = np.random.default_rng(20260810)
+        lps = [random_lp(rng) for _ in range(1000)] + [paper_shaped_lp(rng) for _ in range(50)]
+        groups = {}
+        for lp in lps:
+            groups.setdefault((lp.num_vars, len(lp.b_eq), len(lp.b_ub)), []).append(lp)
+        for group in groups.values():
+            assert_same_solutions(group)
+        statuses = {sol.status for sol in assert_same_solutions(lps)}
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_grid_round_with_infeasible_member(self, channel, budget_m8):
+        # The first search round of scripts/rate_distance.py at 240 km,
+        # N = 1e14: its LPs need 2, 3 or 4 artificial columns.
+        lps = []
+        for mu, nu, p_mu, p_nu in itertools.product(
+            _geom_grid(0.005, 0.15, 5),
+            _geom_grid(0.01, 0.4, 5),
+            _lin_grid(0.5, 0.95, 5),
+            _lin_grid(0.02, 0.4, 5),
+        ):
+            if p_mu + p_nu > 1.0 + 1e-12:
+                continue
+            proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(1e14))
+            counts = expected_observations(proto, channel, 240.0)
+            lps.append(build_lp(proto, counts, budget_m8))
+        # Three times the decoy clicks contradict the gap bounds.
+        proto = ProtocolParams.make(0.05, 0.1, 0.6, 0.3, 8, int(1e12))
+        counts = expected_observations(proto, channel, 120.0)
+        bad = dataclasses.replace(counts, n_2nu=3.0 * counts.n_2nu)
+        lps.insert(17, build_lp(proto, bad, budget_m8))
+        statuses = [sol.status for sol in assert_same_solutions(lps)]
+        assert len(lps) == 376
+        assert statuses.count("infeasible") == 1 and statuses[17] == "infeasible"
+
+    def test_unbounded_member(self):
+        lps = [
+            box_lp([1.0, 1.0], a_ub=[[1.0, 0.0]], b_ub=[2.0], upper=[3.0, 1.0]),
+            box_lp([1.0, 1.0], a_ub=[[-1.0, 0.0]], b_ub=[0.0], upper=[np.inf, 1.0]),
+            box_lp([1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.5], upper=[1.0, 1.0]),
+        ]
+        statuses = [sol.status for sol in assert_same_solutions(lps)]
+        assert statuses == ["optimal", "unbounded", "optimal"]
+
+    def test_empty_input(self):
+        assert solve_max_batch([]) == []
 
 
 class TestExternalSolverCrossCheck:
