@@ -62,7 +62,10 @@ def main(argv=None) -> int:
             json.dump(config, fh)
             cfg_path = fh.name
         print(f"sweeping N_tot = {n_total:.0e} -> {out_csv}")
-        rc = tfqkd_main(["sweep", "--config", cfg_path, "--out", str(out_csv)])
+        try:
+            rc = tfqkd_main(["sweep", "--config", cfg_path, "--out", str(out_csv)])
+        finally:
+            Path(cfg_path).unlink()
         if rc != 0:
             return rc
     return 0

@@ -15,14 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    ProtocolParams,
-    expected_observations,
-    sample_observations,
-)
+from .channel import ChannelParams, ProtocolParams
 from .constraints import SecurityBudget, _fmt, build_lp, dump_lp, make_budget
-from .keyrate import KeyRateReport, analyze
+from .keyrate import KeyRateReport, analyze, observe
 from .optimize import SearchSpace, default_threads, optimize_point, sweep
 
 CSV_HEADER = "L_km,mu,nu,p_mu,p_nu,p_o,n_bit,e_bit,e_ph_upper,key_length,key_rate,plob_rate,status"
@@ -358,9 +353,11 @@ def run_analyze(config: RunConfig) -> int:
 
 
 def run_dump_lp(config: RunConfig, l_km: float, out_path: str) -> int:
-    """Emit the debug LP matrix at one distance for external cross-checks."""
+    """Emit the debug LP matrix at one distance for external cross-checks:
+    the LP that `tfqkd analyze` at that distance solves, sampled counts
+    included."""
     _check_writable(out_path)
-    if config.optimize and config.protocol is None:
+    if config.optimize:
         params, _ = optimize_point(
             config.channel, l_km, config.n_phases, config.n_total,
             config.budget, config.search,
@@ -368,15 +365,9 @@ def run_dump_lp(config: RunConfig, l_km: float, out_path: str) -> int:
         )
     else:
         params = config.protocol
-    if config.mode == "sampled":
-        counts = sample_observations(
-            params, config.channel, l_km, config.seed,
-            detector_in_eta=config.detector_in_eta,
-        )
-    else:
-        counts = expected_observations(
-            params, config.channel, l_km, detector_in_eta=config.detector_in_eta
-        )
+    # The seed analyze uses for a single distance.
+    seed = _distance_seeds(config.seed, 1)[0]
+    counts = observe(params, config.channel, l_km, config.mode, seed, config.detector_in_eta)
     lp = build_lp(params, counts, config.budget)
     try:
         dump_lp(lp, out_path)
@@ -432,17 +423,13 @@ def main(argv: list[str] | None = None) -> int:
                 config.distances = [args.distance]
             if len(config.distances) != 1:
                 raise ConfigError("distances: analyze needs exactly one distance")
-            if not config.optimize and config.protocol is None:
-                raise ConfigError("protocol: required when optimize is off")
             return run_analyze(config)
         if args.command == "sweep":
-            if not config.optimize and config.protocol is None:
-                raise ConfigError("protocol: required when optimize is off")
             return run_analyze(config)
         if args.command == "dump-lp":
-            if config.output is None and args.out is None:
+            if config.output is None:
                 raise ConfigError("output: required for dump-lp")
-            return run_dump_lp(config, args.distance, args.out or config.output)
+            return run_dump_lp(config, args.distance, config.output)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -379,7 +379,6 @@ def build_lp(
         clamp_events=tuple(e for gb in bounds for e in gb.clamp_events),
         eps_charges=charges,
     )
-    lp.validate()
     return lp
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .channel import (
     ChannelParams,
@@ -15,9 +16,9 @@ from .channel import (
     expected_observations,
     sample_observations,
 )
-from .constraints import LinearProgram, SecurityBudget, build_lp
+from .constraints import SecurityBudget, build_lp
 from .numerics import binary_entropy, plob_bound
-from .simplex import LPSolution, solve_max, solve_max_batch
+from .simplex import solve_max, solve_max_batch
 
 
 class PhaseErrorInfeasible(RuntimeError):
@@ -52,30 +53,67 @@ class KeyRateReport:
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
-def _solve_phase_error(
-    protocol: ProtocolParams,
-    counts: ObservedCounts,
+class _Outcome(NamedTuple):
+    """The KeyRateReport fields that a candidate's observations and its
+    phase-error LP fix."""
+
+    n_bit: float
+    e_bit: float
+    n_ph_upper: float
+    e_ph_upper: float
+    key_length: float | None
+    diagnostics: Diagnostics
+
+
+def _evaluate(
+    protocols: Sequence[ProtocolParams],
+    observations: Sequence[ObservedCounts | None],
+    channel: ChannelParams | None,
     budget: SecurityBudget,
     gap_scale: float = 1.0,
-) -> tuple[LinearProgram, LPSolution]:
-    if counts.n_bit <= 0.0:
-        raise NoDetections("no signal detections: n_bit = 0")
-    lp = build_lp(protocol, counts, budget, gap_scale=gap_scale)
-    sol = solve_max(lp)
-    if sol.status == "infeasible":
-        raise PhaseErrorInfeasible(
-            "phase-error LP infeasible; observations violate the gap bounds"
-        )
-    if sol.status != "optimal":
-        raise RuntimeError(f"unexpected LP status {sol.status!r}")
-    return lp, sol
+) -> list[_Outcome]:
+    """Phase-error bound and key length of each candidate protocol from its
+    observations (None for a candidate whose signal cannot click).
 
+    A single candidate's LP goes to solve_max. Several candidates' LPs are
+    built as solve_max_batch reads them, so a search round shares its
+    pivots. A candidate without signal detections or with an infeasible LP
+    gets zero key, with the cause as its status. Without a channel the key
+    length is None (the phase-error bound alone).
+    """
+    detected = [counts is not None and counts.n_bit > 0.0 for counts in observations]
+    built = []
 
-def _phase_errors(objective_value: float, scale: float, n_bit: float) -> tuple[float, float]:
-    """Phase-error count from a phase-error LP optimum in units of `scale`,
-    and the rate over n_bit, both clamped (count >= 0, rate in [0, 1])."""
-    n_ph = max(0.0, objective_value * scale)
-    return n_ph, min(1.0, max(0.0, n_ph / n_bit))
+    def phase_error_lps():
+        for protocol, counts, ok in zip(protocols, observations, detected):
+            if ok:
+                lp = build_lp(protocol, counts, budget, gap_scale=gap_scale)
+                built.append((lp.scale, lp.clamp_events))
+                yield lp
+
+    lps = phase_error_lps()
+    # bench/tracing.py counts solver work from solve_max results, so a lone
+    # LP is solved by solve_max itself.
+    solutions = [solve_max(lp) for lp in lps] if len(protocols) == 1 else solve_max_batch(lps)
+    solved = iter(zip(solutions, built))
+    outcomes = []
+    for counts, ok in zip(observations, detected):
+        n_bit, e_bit = (counts.n_bit, counts.e_bit) if counts is not None else (0.0, 0.0)
+        if not ok:
+            outcomes.append(_Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, Diagnostics("no_detections")))
+            continue
+        sol, (scale, clamp_events) = next(solved)
+        if sol.status == "infeasible":
+            outcomes.append(_Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, Diagnostics("infeasible")))
+            continue
+        if sol.status != "optimal":
+            raise RuntimeError(f"unexpected LP status {sol.status!r}")
+        n_ph = max(0.0, sol.objective_value * scale)
+        e_ph = min(1.0, max(0.0, n_ph / n_bit))
+        key = key_length(n_bit, e_bit, e_ph, channel, budget) if channel is not None else None
+        diagnostics = Diagnostics("ok", clamp_events, sol.iterations)
+        outcomes.append(_Outcome(n_bit, e_bit, n_ph, e_ph, key, diagnostics))
+    return outcomes
 
 
 def phase_error_upper_bound(
@@ -86,8 +124,14 @@ def phase_error_upper_bound(
 ) -> tuple[float, float]:
     """Maximum number of phase errors consistent with the observations, and
     the corresponding rate (clamped to [0, 1])."""
-    lp, sol = _solve_phase_error(protocol, counts, budget, gap_scale=gap_scale)
-    return _phase_errors(sol.objective_value, lp.scale, counts.n_bit)
+    (outcome,) = _evaluate([protocol], [counts], None, budget, gap_scale=gap_scale)
+    if outcome.diagnostics.status == "no_detections":
+        raise NoDetections("no signal detections: n_bit = 0")
+    if outcome.diagnostics.status == "infeasible":
+        raise PhaseErrorInfeasible(
+            "phase-error LP infeasible; observations violate the gap bounds"
+        )
+    return outcome.n_ph_upper, outcome.e_ph_upper
 
 
 def key_length(
@@ -113,48 +157,6 @@ def key_length(
     return max(0.0, l)
 
 
-def key_lengths(
-    candidates: Sequence[ProtocolParams],
-    observations: Sequence[ObservedCounts | None],
-    channel: ChannelParams,
-    budget: SecurityBudget,
-) -> list[float]:
-    """Key length of each candidate protocol from its observations (None
-    for a candidate without detections), as analyze would report it.
-
-    A candidate whose key would be zero even without phase errors skips
-    the LP. The phase-error LPs of the others are solved together by
-    solve_max_batch; an infeasible LP yields zero key.
-    """
-    overhead = math.log2(2.0 / budget.eps_cor) + math.log2(1.0 / (4.0 * budget.eps_pa**2))
-    todo = [
-        i
-        for i, counts in enumerate(observations)
-        if counts is not None
-        and counts.n_bit - counts.n_bit * channel.f_ec * binary_entropy(counts.e_bit) - overhead
-        > 0.0
-    ]
-    scales = []
-
-    def phase_error_lps():
-        for i in todo:
-            lp = build_lp(candidates[i], observations[i], budget)
-            scales.append(lp.scale)
-            yield lp
-
-    solutions = solve_max_batch(phase_error_lps())
-    keys = [0.0] * len(candidates)
-    for i, scale, sol in zip(todo, scales, solutions):
-        if sol.status == "infeasible":
-            continue
-        if sol.status != "optimal":
-            raise RuntimeError(f"unexpected LP status {sol.status!r}")
-        counts = observations[i]
-        _, e_ph = _phase_errors(sol.objective_value, scale, counts.n_bit)
-        keys[i] = key_length(counts.n_bit, counts.e_bit, e_ph, channel, budget)
-    return keys
-
-
 def end_to_end_plob(
     channel: ChannelParams, l_km: float, include_detector: bool = False
 ) -> float:
@@ -168,6 +170,23 @@ def end_to_end_plob(
     if eta <= 0.0:
         return 0.0
     return plob_bound(eta)
+
+
+def observe(
+    protocol: ProtocolParams,
+    channel: ChannelParams,
+    l_km: float,
+    mode: str,
+    seed: int,
+    detector_in_eta: bool,
+) -> ObservedCounts:
+    """The observations analyze works from: the expected counts, or counts
+    sampled with `seed`. Raises NoDetections when the signal cannot click."""
+    if mode == "expected":
+        return expected_observations(protocol, channel, l_km, detector_in_eta=detector_in_eta)
+    if mode == "sampled":
+        return sample_observations(protocol, channel, l_km, seed, detector_in_eta=detector_in_eta)
+    raise ValueError(f"mode={mode!r} must be 'expected' or 'sampled'")
 
 
 def analyze(
@@ -184,60 +203,16 @@ def analyze(
     """Full pipeline at one distance: observations, phase-error LP, key
     length. Degenerate observations and LP infeasibility are folded into a
     zero-key report with the cause recorded in the diagnostics."""
-    if mode not in ("expected", "sampled"):
-        raise ValueError(f"mode={mode!r} must be 'expected' or 'sampled'")
-    plob = end_to_end_plob(channel, l_km, include_detector=plob_with_detector)
-
-    def zero_report(status, counts=None):
-        return KeyRateReport(
-            l_km=l_km,
-            protocol=protocol,
-            n_bit=counts.n_bit if counts else 0.0,
-            e_bit=counts.e_bit if counts else 0.0,
-            n_ph_upper=0.0,
-            e_ph_upper=0.0,
-            key_length=0.0,
-            key_rate=0.0,
-            plob_rate=plob,
-            budget=budget,
-            diagnostics=Diagnostics(status=status),
-        )
-
     try:
-        if mode == "sampled":
-            counts = sample_observations(
-                protocol, channel, l_km, seed, detector_in_eta=detector_in_eta
-            )
-        else:
-            counts = expected_observations(
-                protocol, channel, l_km, detector_in_eta=detector_in_eta
-            )
+        counts = observe(protocol, channel, l_km, mode, seed, detector_in_eta)
     except NoDetections:
-        return zero_report("no_detections")
-
-    try:
-        lp, sol = _solve_phase_error(protocol, counts, budget, gap_scale=gap_scale)
-    except NoDetections:
-        return zero_report("no_detections", counts)
-    except PhaseErrorInfeasible:
-        return zero_report("infeasible", counts)
-
-    n_ph, e_ph = _phase_errors(sol.objective_value, lp.scale, counts.n_bit)
-    l = key_length(counts.n_bit, counts.e_bit, e_ph, channel, budget)
+        counts = None
+    (outcome,) = _evaluate([protocol], [counts], channel, budget, gap_scale=gap_scale)
     return KeyRateReport(
         l_km=l_km,
         protocol=protocol,
-        n_bit=counts.n_bit,
-        e_bit=counts.e_bit,
-        n_ph_upper=n_ph,
-        e_ph_upper=e_ph,
-        key_length=l,
-        key_rate=l / float(protocol.n_total),
-        plob_rate=plob,
+        key_rate=outcome.key_length / float(protocol.n_total),
+        plob_rate=end_to_end_plob(channel, l_km, include_detector=plob_with_detector),
         budget=budget,
-        diagnostics=Diagnostics(
-            status="ok",
-            clamp_events=lp.clamp_events,
-            lp_iterations=sol.iterations,
-        ),
+        **outcome._asdict(),
     )

@@ -52,6 +52,7 @@ class _Tableau:
         self.n_struct = n
         self.n_real = n + m_ub
         self.m = m
+        self.objective = lp.objective
 
         a_real = np.zeros((m, self.n_real))
         if m_eq:
@@ -175,6 +176,42 @@ class _Tableau:
         x[self.basis] = self.x_basic
         return x
 
+    def solve(self) -> LPSolution:
+        """solve_max on this tableau's LP."""
+        n_all = self.a.shape[1]
+
+        if self.n_art:
+            c_phase1 = np.zeros(n_all)
+            c_phase1[self.n_real :] = -1.0
+            self.run(c_phase1)
+            self.refresh()
+            art_sum = float(np.sum(self.solution_vector()[self.n_real :]))
+            if art_sum > FEAS_TOL * max(1.0, float(np.max(np.abs(self.b), initial=0.0))):
+                return LPSolution("infeasible", np.nan, np.empty(0), self.iterations)
+
+        # Pin the artificials at zero and optimize the real objective.
+        self.up[self.n_real :] = 0.0
+        c_phase2 = np.zeros(n_all)
+        c_phase2[: self.n_struct] = self.objective
+        status = self.run(c_phase2)
+        if status == "unbounded":
+            return LPSolution("unbounded", np.inf, np.empty(0), self.iterations)
+        self.refresh()
+
+        x = self.solution_vector()
+        x_struct = x[: self.n_struct].copy()
+        bmat = self.a[:, self.basis]
+        y = np.linalg.solve(bmat.T, c_phase2[self.basis])
+        reduced = self.objective - y @ self.a[:, : self.n_struct]
+        return LPSolution(
+            status="optimal",
+            objective_value=float(self.objective @ x_struct),
+            variable_values=x_struct,
+            iterations=self.iterations,
+            row_duals=y,
+            reduced_costs=reduced,
+        )
+
 
 def solve_max(lp: LinearProgram) -> LPSolution:
     """Maximize the LP objective with a two-phase bounded-variable simplex.
@@ -183,40 +220,7 @@ def solve_max(lp: LinearProgram) -> LPSolution:
     lowest eligible index and ratio-test ties resolve to the lowest basic
     variable index.
     """
-    tb = _Tableau(lp)
-    n_all = tb.a.shape[1]
-
-    if tb.n_art:
-        c_phase1 = np.zeros(n_all)
-        c_phase1[tb.n_real :] = -1.0
-        tb.run(c_phase1)
-        tb.refresh()
-        art_sum = float(np.sum(tb.solution_vector()[tb.n_real :]))
-        if art_sum > FEAS_TOL * max(1.0, float(np.max(np.abs(tb.b), initial=0.0))):
-            return LPSolution("infeasible", np.nan, np.empty(0), tb.iterations)
-
-    # Pin the artificials at zero and optimize the real objective.
-    tb.up[tb.n_real :] = 0.0
-    c_phase2 = np.zeros(n_all)
-    c_phase2[: tb.n_struct] = lp.objective
-    status = tb.run(c_phase2)
-    if status == "unbounded":
-        return LPSolution("unbounded", np.inf, np.empty(0), tb.iterations)
-    tb.refresh()
-
-    x = tb.solution_vector()
-    x_struct = x[: tb.n_struct].copy()
-    bmat = tb.a[:, tb.basis]
-    y = np.linalg.solve(bmat.T, c_phase2[tb.basis])
-    reduced = lp.objective - y @ tb.a[:, : tb.n_struct]
-    return LPSolution(
-        status="optimal",
-        objective_value=float(lp.objective @ x_struct),
-        variable_values=x_struct,
-        iterations=tb.iterations,
-        row_duals=y,
-        reduced_costs=reduced,
-    )
+    return _Tableau(lp).solve()
 
 
 # Per-member simplex state that _Stack.run keeps for its caller; the
@@ -227,8 +231,7 @@ _RUN_STATE = ("basis", "at_upper", "is_basic", "iterations")
 class _Stack:
     """_Tableau states of equal shape (rows, structural, slack and
     artificial columns), stacked along a leading member axis and pivoted
-    together. Member k is the caller's LP ids[k], with objective
-    objective[k].
+    together. Member k is the caller's LP ids[k].
 
     Each member repeats the arithmetic _Tableau does on it alone: the
     elementwise steps are the same operations, every reduction runs within
@@ -237,15 +240,14 @@ class _Stack:
     same pivots and ends with the same numbers as under solve_max.
     """
 
-    def __init__(self, ids: list[int], objectives: list[np.ndarray], tableaux: list[_Tableau]):
+    def __init__(self, ids: list[int], tableaux: list[_Tableau]):
         first = tableaux[0]
         self.n_struct = first.n_struct
         self.n_real = first.n_real
         self.n_art = first.n_art
         self.m = first.m
         self.ids = np.asarray(ids, dtype=np.intp)
-        self.objective = np.array(objectives)
-        for name in ("a", "b", "tab", "x_basic", "lo", "up", "at_upper", "is_basic"):
+        for name in ("objective", "a", "b", "tab", "x_basic", "lo", "up", "at_upper", "is_basic"):
             setattr(self, name, np.stack([getattr(tb, name) for tb in tableaux]))
         self.basis = np.array([tb.basis for tb in tableaux], dtype=np.intp).reshape(
             len(tableaux), self.m
@@ -418,22 +420,31 @@ def solve_max_batch(lps: Iterable[LinearProgram]) -> list[LPSolution]:
     a time, and pivoted as one; a member leaves the stack when it finishes.
     Result i equals solve_max(lps[i]) bit for bit: status, pivot count,
     values and duals. The per-pivot overhead is shared by the stack, so this
-    pays off for many LPs, while solve_max is faster for a single one. The
+    pays off for many LPs; a shape that holds a single LP is solved on its
+    own tableau as solve_max does, which costs less than a stack of one. The
     LPs are read lazily; each shape's stack is solved as soon as it is full,
     so at most BATCH_CHUNK - 1 unsolved tableaux of each shape are held.
     """
     results: list[LPSolution | None] = []
-    pending: dict[tuple[int, int, int, int], list[tuple[int, np.ndarray, _Tableau]]] = {}
+    pending: dict[tuple[int, int, int, int], list[tuple[int, _Tableau]]] = {}
+
+    def solve(group: list[tuple[int, _Tableau]]) -> None:
+        if len(group) == 1:
+            i, tb = group[0]
+            results[i] = tb.solve()
+        else:
+            _Stack(*zip(*group)).solve(results)
+
     for lp in lps:
         tb = _Tableau(lp)
         key = (tb.m, tb.n_struct, tb.n_real, tb.n_art)
-        pending.setdefault(key, []).append((len(results), lp.objective, tb))
+        pending.setdefault(key, []).append((len(results), tb))
         results.append(None)
         # The stack copies the tableaux, so a solved group is dropped first.
         if len(pending[key]) == BATCH_CHUNK:
-            _Stack(*zip(*pending.pop(key))).solve(results)
+            solve(pending.pop(key))
     while pending:
-        _Stack(*zip(*pending.popitem()[1])).solve(results)
+        solve(pending.popitem()[1])
     return results
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from tfqkd.cli import CSV_HEADER, ConfigError, load_config, main, parse_config
-from tfqkd.simplex import load_lp
+from tfqkd.simplex import load_lp, solve_max
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "tfqkd" / "schemas"
 
@@ -235,6 +236,16 @@ class TestSweepCommand:
         assert float(row[10]) > 0.0  # key_rate column
 
 
+TINY_SEARCH = {
+    "mu_range": [0.02, 0.1],
+    "nu_range": [0.02, 0.2],
+    "p_mu_range": [0.3, 0.8],
+    "p_nu_range": [0.05, 0.3],
+    "grid_density": 3,
+    "refinement_rounds": 1,
+}
+
+
 class TestDumpLpCommand:
     def test_m2_dump_structure(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -264,6 +275,24 @@ class TestDumpLpCommand:
         np.testing.assert_array_equal(parsed.b_ub, direct.b_ub)
         np.testing.assert_array_equal(parsed.upper, direct.upper)
 
+    # With optimize on, a config that also gives a protocol is analyzed at
+    # the optimizer's winner, not at that protocol.
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_sampled_dump_is_the_analyzed_lp(self, tmp_path, optimize):
+        cfg = base_config(n_phases=8, n_total=1e12, distances=[100.0], mode="sampled", seed=7)
+        if optimize:
+            cfg.update(optimize=True, search=TINY_SEARCH)
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "a.csv")]) == 0
+        out = tmp_path / "lp.txt"
+        rc = main(["dump-lp", "--config", cfg_path, "--out", str(out), "--distance", "100"])
+        assert rc == 0
+        entry = json.loads((tmp_path / "a.json").read_text())["results"][0]
+        lp = load_lp(out)
+        sol = solve_max(lp)
+        assert entry["status"] == "ok" and sol.status == "optimal"
+        assert max(0.0, sol.objective_value * lp.scale) == entry["n_ph_upper"]
+
     def test_malformed_output_path(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         rc = main(
@@ -271,3 +300,29 @@ class TestDumpLpCommand:
              "--distance", "50"]
         )
         assert rc == 2
+
+
+def load_rate_distance_script():
+    path = Path(__file__).parent.parent / "scripts" / "rate_distance.py"
+    spec = importlib.util.spec_from_file_location("rate_distance", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRateDistanceScript:
+    @pytest.mark.parametrize("rc, sweeps", [(0, 2), (3, 1)])
+    def test_config_files_are_removed(self, tmp_path, monkeypatch, rc, sweeps):
+        script = load_rate_distance_script()
+        configs = []
+
+        def fake_tfqkd_main(argv):
+            path = Path(argv[argv.index("--config") + 1])
+            assert json.loads(path.read_text())["optimize"] is True
+            configs.append(path)
+            return rc
+
+        monkeypatch.setattr(script, "tfqkd_main", fake_tfqkd_main)
+        assert script.main(["--out-dir", str(tmp_path), "--n-total", "1e12", "1e13"]) == rc
+        assert len(configs) == sweeps
+        assert not any(path.exists() for path in configs)

@@ -15,7 +15,7 @@ from tfqkd import (
     key_length,
     phase_error_upper_bound,
 )
-from tfqkd.keyrate import key_lengths
+from tfqkd.keyrate import Diagnostics, _evaluate, _Outcome
 from tfqkd.numerics import folded_poisson
 from tfqkd.simplex import solve_max
 
@@ -192,17 +192,19 @@ class TestAnalyze:
             proto = ProtocolParams.make(0.05, 0.1, p_mu, 0.3, 8, int(1e12))
             candidates.append(proto)
             observations.append(expected_observations(proto, channel, l_km))
-            expected.append(analyze(proto, channel, l_km, budget_m8).key_length)
+            report = analyze(proto, channel, l_km, budget_m8)
+            expected.append(tuple(getattr(report, name) for name in _Outcome._fields))
         bad = observations[1]
         candidates.append(candidates[1])
         observations.append(dataclasses.replace(bad, n_2nu=3.0 * bad.n_2nu))
-        expected.append(0.0)  # infeasible phase-error LP
+        # infeasible phase-error LP
+        expected.append((bad.n_bit, bad.e_bit, 0.0, 0.0, 0.0, Diagnostics("infeasible")))
         candidates.append(candidates[0])
         observations.append(None)  # no detections
-        expected.append(0.0)
-        got = key_lengths(candidates, observations, channel, budget_m8)
+        expected.append((0.0, 0.0, 0.0, 0.0, 0.0, Diagnostics("no_detections")))
+        got = _evaluate(candidates, observations, channel, budget_m8)
         assert got == expected
-        assert got[0] > 0.0
+        assert got[0].key_length > 0.0
 
     def test_rejects_unknown_mode(self, channel, budget_m8, protocol_m8):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -150,6 +151,28 @@ class TestOptimizePoint:
         )
         assert params == best[1]
         assert report.key_length == best[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "l_km, p_d, det, plob_det, status",
+        [
+            (50.0, 1e-8, True, False, "ok"),
+            (60.0, 1e-8, False, True, "ok"),
+            (2000.0, 1e-8, True, False, "ok"),
+            (1e5, 0.0, True, False, "no_detections"),
+        ],
+    )
+    def test_report_equals_analyze(self, channel, budget_fast, l_km, p_d, det, plob_det, status):
+        # The report must be what analyze reports for the winner, with both
+        # detector flags passed through.
+        channel = dataclasses.replace(channel, p_d=p_d)
+        params, report = optimize_point(
+            channel, l_km, FAST["n_phases"], FAST["n_total"], budget_fast, tiny_space(),
+            detector_in_eta=det, plob_with_detector=plob_det,
+        )
+        assert report.diagnostics.status == status
+        assert report == analyze(
+            params, channel, l_km, budget_fast, detector_in_eta=det, plob_with_detector=plob_det
+        )
 
     def test_deterministic(self, channel, budget_fast):
         space = tiny_space()

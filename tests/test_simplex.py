@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tfqkd import ProtocolParams, build_lp, expected_observations
+from tfqkd import ProtocolParams, build_lp, expected_observations, simplex
 from tfqkd.constraints import LinearProgram
 from tfqkd.optimize import _geom_grid, _lin_grid
 from tfqkd.simplex import load_lp, solve_max, solve_max_batch
@@ -230,6 +230,29 @@ class TestBatchedSolver:
         statuses = [sol.status for sol in assert_same_solutions(lps)]
         assert len(lps) == 376
         assert statuses.count("infeasible") == 1 and statuses[17] == "infeasible"
+
+    def test_lone_shape_next_to_full_stacks(self, monkeypatch):
+        # Two full stacks of one shape and, between them, the only LP of
+        # another shape, which is solved on its own tableau.
+        sizes = []
+
+        class RecordingStack(simplex._Stack):
+            def __init__(self, ids, tableaux):
+                sizes.append(len(ids))
+                super().__init__(ids, tableaux)
+
+        monkeypatch.setattr(simplex, "_Stack", RecordingStack)
+        stacked = [
+            box_lp([1.0, 1.0 + 0.01 * k], a_ub=[[1.0, 2.0]], b_ub=[2.0 + 0.01 * k],
+                   a_eq=[[1.0, -1.0]], b_eq=[0.1 * k], upper=[3.0, 1.0])
+            for k in range(2 * simplex.BATCH_CHUNK)
+        ]
+        lone = box_lp([1.0, 2.0, -1.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[2.5],
+                      a_eq=[[1.0, 0.0, 1.0]], b_eq=[1.0], upper=[2.0, 1.0, 2.0])
+        lps = stacked[:5] + [lone] + stacked[5:]
+        statuses = [sol.status for sol in assert_same_solutions(lps)]
+        assert sizes == [simplex.BATCH_CHUNK, simplex.BATCH_CHUNK]
+        assert statuses[5] == "optimal"
 
     def test_unbounded_member(self):
         lps = [
