@@ -54,7 +54,14 @@ def _need(data: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    # JSON parsing lets NaN and Infinity through.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:

@@ -6,7 +6,8 @@ an explicit failure-probability ledger."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -112,59 +113,6 @@ class GapBound:
 _CHARGES_PER_GAP = 6
 _CHARGES_PER_BOX = 1
 
-
-def _lemma_gaps(
-    pairs: list[tuple[str, int, float, float, float, float, float]],
-    n_total: float,
-    eps_a: float,
-) -> list[GapBound]:
-    """Apply the finite-statistics bound to pairs of preparations, given as
-    (kind, j, p1, p2, s, count_left, count_right): probabilities (p1, p2),
-    distinguishability s = sqrt(1 - F^2), and observed totals. The
-    deviations of every pair are evaluated together, in two rounds."""
-    coeffs, p_small, ratio, count_last = [], [], [], []
-    for _, _, p1, p2, _, count_left, count_right in pairs:
-        if p1 > p2:
-            coeffs.append((p2 / p1, 1.0))
-            p_small.append(p2)
-            ratio.append(p2 / p1)
-            count_last.append(count_left)
-        else:
-            # Ties (including the degenerate 0 == 0) take this branch.
-            r = p1 / p2 if p2 > 0.0 else 1.0
-            coeffs.append((1.0, r))
-            p_small.append(p1)
-            ratio.append(r)
-            count_last.append(count_right)
-
-    k = len(pairs)
-    # d_pair and d_last of every pair, then d_guess and d_flip, which need
-    # the trial counts n1 and n2 that d_pair brackets.
-    first = chernoff_deltas(
-        [n_total] * k + count_last, [2.0 * p for p in p_small] + ratio, eps_a
-    )
-    n1 = [2.0 * n_total * p + d.value for p, d in zip(p_small, first)]
-    n2 = [2.0 * n_total * p - d.value for p, d in zip(p_small, first)]
-    second = chernoff_deltas(
-        n1 + [n - left - right for n, (*_, left, right) in zip(n2, pairs)],
-        [(1.0 + s) / 2.0 for _, _, _, _, s, _, _ in pairs] + [0.5] * k,
-        eps_a,
-    )
-
-    bounds = []
-    for i, (kind, j, _, _, s, _, _) in enumerate(pairs):
-        d_guess, d_flip, d_last = second[i], second[k + i], first[k + i]
-        events: list[str] = []
-        if d_flip.clamped:
-            events.append(f"{kind}[{j}]: residual trial count below zero")
-        delta = n1[i] * s + 2.0 * d_guess.value - 2.0 * d_flip.value + d_last.value
-        if delta < 0.0:
-            events.append(f"{kind}[{j}]: delta {delta:.6g} clamped to 0")
-            delta = 0.0
-        bounds.append(GapBound(kind, j, *coeffs[i], delta, tuple(events)))
-    return bounds
-
-
 # Entries kept by each table cache. A search round draws 5-7 intensities of
 # each kind, so a few hundred entries cover every round of a distance.
 _TABLE_CACHE_SIZE = 512
@@ -185,36 +133,147 @@ def _pair_distinguishabilities(mu: float, nu: float, m_phases: int) -> tuple[flo
     return tuple(folded_distinguishability(j, mu, nu, m_phases) for j in range(m_phases))
 
 
-def _class_probabilities(intensity: float, p_label: float, m_phases: int) -> list[float]:
-    """Probability that a round prepares the matched-intensity folded class
-    j, for j = 0..M-1 (both parties pick the label, phases match in- or
-    anti-phase)."""
-    weights, _ = _intensity_table(intensity, m_phases)
-    factor = 2.0 * p_label**2 / m_phases
-    return [factor * w for w in weights]
+def _class_probabilities(protocol: ProtocolParams) -> list[float]:
+    """Probabilities that a round prepares the matched-intensity folded
+    class j = 0..M-1 of mu, then of nu (both parties pick the label, phases
+    match in- or anti-phase), then that both parties pick the vacuum."""
+    m = protocol.n_phases
+    weights_mu, _ = _intensity_table(protocol.mu, m)
+    weights_nu, _ = _intensity_table(protocol.nu, m)
+    factor_mu = 2.0 * protocol.p_mu**2 / m
+    factor_nu = 2.0 * protocol.p_nu**2 / m
+    return (
+        [factor_mu * w for w in weights_mu]
+        + [factor_nu * w for w in weights_nu]
+        + [protocol.p_o**2]
+    )
+
+
+def _candidate_rows(
+    protocols: Sequence[ProtocolParams], observations: Sequence[ObservedCounts], m_phases: int
+) -> np.ndarray:
+    """One row per candidate, read from the cached tables: its
+    _class_probabilities (2M + 1), the vacuum distinguishabilities of mu
+    and nu, the pair distinguishabilities of classes 0..M-1, and the
+    observed n_2mu, n_2nu, n_0: (B, 3M + 6)."""
+    m = m_phases
+    rows = []
+    for p, c in zip(protocols, observations):
+        rows.append(
+            _class_probabilities(p)
+            + [_intensity_table(p.mu, m)[1], _intensity_table(p.nu, m)[1]]
+            + list(_pair_distinguishabilities(p.mu, p.nu, m))
+            + [c.n_2mu, c.n_2nu, c.n_0]
+        )
+    return np.array(rows, dtype=float).reshape(len(rows), 3 * m + 6)
+
+
+@lru_cache(maxsize=None)
+def _gap_labels(m_phases: int) -> tuple[tuple[str, int], ...]:
+    """(kind, j) of the gap bounds of an LP, in LP order: vacuum_mu,
+    vacuum_nu, then decoy_pair for classes 0..M-1."""
+    return (("vacuum_mu", 0), ("vacuum_nu", 0)) + tuple(("decoy_pair", j) for j in range(m_phases))
+
+
+@lru_cache(maxsize=None)
+def _residual_events(m_phases: int) -> tuple[tuple[str], ...]:
+    """The clamp event of a negative residual trial count, per gap bound."""
+    return tuple(
+        (f"{kind}[{j}]: residual trial count below zero",) for kind, j in _gap_labels(m_phases)
+    )
+
+
+@lru_cache(maxsize=None)
+def _pair_layout(m_phases: int) -> np.ndarray:
+    """Columns of the _candidate_rows that give each gap bound (in LP
+    order) its preparation probabilities p1 and p2, distinguishability s
+    and observed totals left and right: (5, M + 2)."""
+    m = m_phases
+    classes = list(range(m))
+    n_2mu, n_2nu, n_0 = -3, -2, -1
+    return np.array([
+        [2 * m, 2 * m] + classes,  # p_o^2 against class 0; q_mu[j]
+        [0, m] + [m + j for j in classes],  # q_mu[0], q_nu[0]; q_nu[j]
+        [2 * m + 1, 2 * m + 2] + [2 * m + 3 + j for j in classes],
+        [n_0, n_0] + [n_2mu] * m,
+        [n_2mu, n_2nu] + [n_2nu] * m,
+    ])
 
 
 def _gap_bounds(
+    rows: np.ndarray, n_total: float, eps_a: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[tuple[str, ...], ...]]]:
+    """Every gap bound of each candidate's phase-error LP, from the
+    _candidate_rows: coeff_left, coeff_right and delta as (B, M + 2) arrays
+    in LP order (_gap_labels), and the clamp events per bound of each
+    candidate that clamps.
+
+    Each bound applies the finite-statistics bound to a pair of
+    preparations with probabilities (p1, p2), distinguishability
+    s = sqrt(1 - F^2), and observed totals (left, right)."""
+    m = (rows.shape[1] - 6) // 3
+    p1, p2, s, left, right = rows[:, _pair_layout(m)].transpose(1, 0, 2)
+
+    # The member with the larger probability carries the ratio coefficient;
+    # ties (including the degenerate 0 == 0) give it to the right member.
+    left_larger = p1 > p2
+    p_small = np.where(left_larger, p2, p1)
+    p_large = np.where(left_larger, p1, p2)
+    never = p_large == 0.0  # neither is prepared: the ratio reads 1
+    ratio = (p_small + never) / (p_large + never)
+    coeff_left = np.where(left_larger, ratio, 1.0)
+    coeff_right = np.where(left_larger, 1.0, ratio)
+
+    # d_pair and d_last, then d_guess and d_flip, which need the trial
+    # counts n1 and n2 that d_pair brackets.
+    d_pair, d_last = chernoff_deltas(
+        np.array([np.full(s.shape, n_total), np.where(left_larger, left, right)]),
+        np.array([2.0 * p_small, ratio]),
+        eps_a,
+    )[0]
+    n1 = 2.0 * n_total * p_small + d_pair
+    n2 = 2.0 * n_total * p_small - d_pair
+    (d_guess, d_flip), (_, flip_clamped) = chernoff_deltas(
+        np.array([n1, n2 - left - right]),
+        np.array([(1.0 + s) / 2.0, np.full(s.shape, 0.5)]),
+        eps_a,
+    )
+    delta = n1 * s + 2.0 * d_guess - 2.0 * d_flip + d_last
+    negative = delta < 0.0
+
+    events = {}
+    residual_events = _residual_events(m)
+    negative_rows = negative.any(axis=1).tolist()
+    for k in np.flatnonzero((flip_clamped | negative).any(axis=1)).tolist():
+        flips = flip_clamped[k].tolist()
+        per_bound = [ev if flip else () for ev, flip in zip(residual_events, flips)]
+        if negative_rows[k]:
+            for i in np.flatnonzero(negative[k]).tolist():
+                kind, j = _gap_labels(m)[i]
+                per_bound[i] += (f"{kind}[{j}]: delta {float(delta[k, i]):.6g} clamped to 0",)
+        events[k] = tuple(per_bound)
+    return coeff_left, coeff_right, np.where(negative, 0.0, delta), events
+
+
+def _gap_bound_records(
+    m_phases: int, coeff_left, coeff_right, delta, events: tuple[tuple[str, ...], ...] | None
+) -> tuple[GapBound, ...]:
+    """One candidate's gap bounds, from its rows of the _gap_bounds arrays."""
+    columns = (coeff_left.tolist(), coeff_right.tolist(), delta.tolist())
+    events = events or ((),) * (m_phases + 2)
+    return tuple(
+        GapBound(kind, j, *values)
+        for (kind, j), *values in zip(_gap_labels(m_phases), *columns, events)
+    )
+
+
+def _lone_gap_bounds(
     protocol: ProtocolParams, counts: ObservedCounts, eps_a: float
-) -> list[GapBound]:
-    """Every gap bound of the phase-error LP, in LP order: vacuum_mu,
-    vacuum_nu, then decoy_pair for classes 0..M-1."""
-    m = protocol.n_phases
-    q_mu = _class_probabilities(protocol.mu, protocol.p_mu, m)
-    q_nu = _class_probabilities(protocol.nu, protocol.p_nu, m)
-    _, s_mu = _intensity_table(protocol.mu, m)
-    _, s_nu = _intensity_table(protocol.nu, m)
-    s_pair = _pair_distinguishabilities(protocol.mu, protocol.nu, m)
-    p_vac = protocol.p_o**2
-    pairs = [
-        ("vacuum_mu", 0, p_vac, q_mu[0], s_mu, counts.n_0, counts.n_2mu),
-        ("vacuum_nu", 0, p_vac, q_nu[0], s_nu, counts.n_0, counts.n_2nu),
-    ]
-    pairs += [
-        ("decoy_pair", j, q_mu[j], q_nu[j], s_pair[j], counts.n_2mu, counts.n_2nu)
-        for j in range(m)
-    ]
-    return _lemma_gaps(pairs, float(protocol.n_total), eps_a)
+) -> tuple[GapBound, ...]:
+    """_gap_bounds of a single candidate, as GapBound records."""
+    rows = _candidate_rows([protocol], [counts], protocol.n_phases)
+    left, right, delta, events = _gap_bounds(rows, float(protocol.n_total), eps_a)
+    return _gap_bound_records(protocol.n_phases, left[0], right[0], delta[0], events.get(0))
 
 
 def gap_bound_decoy(
@@ -225,7 +284,7 @@ def gap_bound_decoy(
     m = protocol.n_phases
     if not 0 <= j < m:
         raise ValueError(f"j={j} outside [0, {m - 1}]")
-    return _gap_bounds(protocol, counts, eps_a)[2 + j]
+    return _lone_gap_bounds(protocol, counts, eps_a)[2 + j]
 
 
 def gap_bound_vacuum(
@@ -235,18 +294,15 @@ def gap_bound_vacuum(
     "nu") to the observed vacuum count."""
     if which not in ("mu", "nu"):
         raise ValueError(f"which={which!r} must be 'mu' or 'nu'")
-    return _gap_bounds(protocol, counts, eps_a)[0 if which == "mu" else 1]
+    return _lone_gap_bounds(protocol, counts, eps_a)[0 if which == "mu" else 1]
 
 
-def _upper_bounds(
-    intensity: float, p_label: float, protocol: ProtocolParams, eps_a: float
-) -> list[float]:
-    """variable_upper_bound of classes 0..M-1 at the given intensity and
-    label probability."""
-    n_total = float(protocol.n_total)
+def _box_caps(q: np.ndarray, n_total: float, eps_a: float) -> np.ndarray:
+    """Mean-plus-deviation cap on the clicks of classes prepared with
+    probabilities q in n_total rounds."""
     dev = 3.0 * math.log(1.0 / eps_a)
-    means = [n_total * q for q in _class_probabilities(intensity, p_label, protocol.n_phases)]
-    return [mean + math.sqrt(dev * mean) for mean in means]
+    mean = n_total * q
+    return mean + np.sqrt(dev * mean)
 
 
 def variable_upper_bound(
@@ -257,13 +313,10 @@ def variable_upper_bound(
     m = protocol.n_phases
     if not 0 <= j < m:
         raise ValueError(f"j={j} outside [0, {m - 1}]")
-    if which == "mu":
-        beta, p_label = protocol.mu, protocol.p_mu
-    elif which == "nu":
-        beta, p_label = protocol.nu, protocol.p_nu
-    else:
+    if which not in ("mu", "nu"):
         raise ValueError(f"which={which!r} must be 'mu' or 'nu'")
-    return _upper_bounds(beta, p_label, protocol, eps_a)[j]
+    q = _class_probabilities(protocol)[j if which == "mu" else m + j]
+    return float(_box_caps(q, float(protocol.n_total), eps_a))
 
 
 @dataclass
@@ -291,20 +344,172 @@ class LinearProgram:
 
     @property
     def num_vars(self) -> int:
-        return self.objective.shape[0]
+        return self.objective.shape[-1]
 
     def validate(self) -> None:
         n = self.num_vars
-        if self.a_eq.shape[1] != n or self.a_ub.shape[1] != n:
+        if self.a_eq.shape[-1] != n or self.a_ub.shape[-1] != n:
             raise ValueError("constraint matrices disagree with objective size")
-        if self.a_eq.shape[0] != self.b_eq.shape[0]:
+        if self.a_eq.shape[-2] != self.b_eq.shape[-1]:
             raise ValueError("equality rhs size mismatch")
-        if self.a_ub.shape[0] != self.b_ub.shape[0]:
+        if self.a_ub.shape[-2] != self.b_ub.shape[-1]:
             raise ValueError("inequality rhs size mismatch")
-        if self.lower.shape[0] != n or self.upper.shape[0] != n:
+        if self.lower.shape[-1] != n or self.upper.shape[-1] != n:
             raise ValueError("bound vector size mismatch")
         if np.any(self.lower < 0.0) or np.any(self.upper < self.lower):
             raise ValueError("need upper >= lower >= 0 for every variable")
+
+
+@lru_cache(maxsize=None)
+def _gap_row_layout(m_phases: int) -> tuple[np.ndarray, ...]:
+    """Nonzero entries of the gap-bound rows of a_ub, as (row, column,
+    index into [coeff_left | coeff_right], sign) arrays. Rows 2i and 2i + 1
+    bound gap i from above and below; the second is the first negated."""
+    k = m_phases + 2
+    # Vacuum rows weigh the class-0 yield; decoy rows compare class j of
+    # the two intensities.
+    entries = [(0, 0, k, -1.0), (2, m_phases, k + 1, -1.0)]
+    for j in range(m_phases):
+        row = 2 * (2 + j)
+        entries += [(row, j, 2 + j, 1.0), (row, m_phases + j, k + 2 + j, -1.0)]
+    entries += [(row + 1, col, src, -sign) for row, col, src, sign in entries]
+    rows, cols, src, sign = zip(*entries)
+    return np.array(rows), np.array(cols), np.array(src), np.array(sign)
+
+
+class _GapRows:
+    """The a_ub of a build_lps batch, held as the nonzero entries of its
+    gap-bound rows, (B, 4M + 4), and filled into dense rows when indexed:
+    the dense a_ub of a 625-candidate round would take 1.6 MB."""
+
+    def __init__(self, values: np.ndarray, m_phases: int):
+        self.values = values
+        self.m_phases = m_phases
+        self.shape = values.shape[:1] + (2 * m_phases + 4, 2 * m_phases)
+
+    def __getitem__(self, ids) -> np.ndarray:
+        values = self.values[ids]
+        rows, cols, _, _ = _gap_row_layout(self.m_phases)
+        dense = np.zeros(values.shape[:-1] + self.shape[1:])
+        dense[..., 1::2, :] = -0.0  # the negated zeros of each second row
+        dense[..., rows, cols] = values
+        return dense
+
+
+@dataclass
+class LPBatch:
+    """LPs of one shape, stacked along a leading member axis: member k is
+    the LinearProgram of row k of each array, in units of scale[k].
+
+    build_lps also fills the build report: the gap-bound coefficients and
+    deltas as (B, M + 2) arrays in LP order, the clamp events per gap bound
+    of the members that clamp, and the failure-probability charges (the
+    same for every member). Its a_ub is a _GapRows, which gives dense rows
+    when indexed.
+    """
+
+    objective: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    a_ub: np.ndarray | _GapRows
+    b_ub: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    scale: np.ndarray
+    coeff_left: np.ndarray | None = None
+    coeff_right: np.ndarray | None = None
+    delta: np.ndarray | None = None
+    gap_events: dict[int, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
+    eps_charges: int = 0
+
+    num_vars = LinearProgram.num_vars
+    validate = LinearProgram.validate
+
+    def __len__(self) -> int:
+        return self.objective.shape[0]
+
+    def clamp_events(self, k: int) -> tuple[str, ...]:
+        return tuple(e for events in self.gap_events.get(k, ()) for e in events)
+
+    def member(self, k: int) -> LinearProgram:
+        gap_bounds = ()
+        if self.delta is not None:
+            gap_bounds = _gap_bound_records(
+                self.delta.shape[1] - 2, self.coeff_left[k], self.coeff_right[k], self.delta[k],
+                self.gap_events.get(k),
+            )
+        return LinearProgram(
+            self.objective[k], self.a_eq[k], self.b_eq[k], self.a_ub[k], self.b_ub[k],
+            self.lower[k], self.upper[k],
+            scale=float(self.scale[k]),
+            gap_bounds=gap_bounds,
+            clamp_events=self.clamp_events(k),
+            eps_charges=self.eps_charges,
+        )
+
+
+def build_lps(
+    protocols: Sequence[ProtocolParams],
+    observations: Sequence[ObservedCounts],
+    budget: SecurityBudget,
+    gap_scale: float = 1.0,
+) -> LPBatch:
+    """Assemble the phase-error LP of each candidate from its observations,
+    stacked. The candidates share the number of phase slices M (the
+    budget's) and n_total.
+
+    Variables are ordered [class-0..M-1 signal yields, class-0..M-1 decoy
+    yields], in units of n_total. The objective selects the even signal
+    classes up to M-2. gap_scale multiplies every gap-bound delta (a test
+    hook for tightening/loosening studies); 1.0 is the faithful build.
+    """
+    m = budget.n_phases
+    if any(p.n_phases != m for p in protocols):
+        raise ValueError("budget was built for a different number of phase slices")
+    if gap_scale < 0.0:
+        raise ValueError("gap_scale must be >= 0")
+    n_totals = {p.n_total for p in protocols}
+    if len(n_totals) > 1:
+        raise ValueError("candidates must share n_total")
+    n_total = float(n_totals.pop()) if n_totals else 1.0
+    eps_a = budget.eps_a
+    b, k, nvars = len(protocols), m + 2, 2 * m
+
+    rows = _candidate_rows(protocols, observations, m)
+    coeff_left, coeff_right, delta, events = _gap_bounds(rows, n_total, eps_a)
+
+    objective = np.zeros((b, nvars))
+    objective[:, 0 : m - 1 : 2] = 1.0
+
+    a_eq = np.zeros((b, 2, nvars))
+    a_eq[:, 0, :m] = 1.0
+    a_eq[:, 1, m:] = 1.0
+    b_eq = rows[:, -3:-1] / n_total
+
+    _, _, src, sign = _gap_row_layout(m)
+    a_ub = _GapRows(np.concatenate([coeff_left, coeff_right], axis=1)[:, src] * sign, m)
+    b_ub = np.repeat(gap_scale * delta / n_total, 2, axis=1)
+    # The vacuum rows move the observed vacuum count to the right-hand side.
+    anchor = coeff_left[:, :2] * (rows[:, -1:] / n_total)
+    b_ub[:, 0:4:2] -= anchor
+    b_ub[:, 1:4:2] += anchor
+
+    upper = _box_caps(rows[:, : 2 * m], n_total, eps_a)
+    return LPBatch(
+        objective=objective,
+        a_eq=a_eq,
+        b_eq=b_eq,
+        a_ub=a_ub,
+        b_ub=b_ub,
+        lower=np.zeros((b, nvars)),
+        upper=upper / n_total,
+        scale=np.full(b, n_total),
+        coeff_left=coeff_left,
+        coeff_right=coeff_right,
+        delta=delta,
+        gap_events=events,
+        eps_charges=_CHARGES_PER_GAP * k + _CHARGES_PER_BOX * nvars,
+    )
 
 
 def build_lp(
@@ -313,73 +518,9 @@ def build_lp(
     budget: SecurityBudget,
     gap_scale: float = 1.0,
 ) -> LinearProgram:
-    """Assemble the phase-error LP for the given observations.
-
-    Variables are ordered [class-0..M-1 signal yields, class-0..M-1 decoy
-    yields], in units of n_total. The objective selects the even signal
-    classes up to M-2. gap_scale multiplies every gap-bound delta (a test
-    hook for tightening/loosening studies); 1.0 is the faithful build.
-    """
-    m = protocol.n_phases
-    if budget.n_phases != m:
-        raise ValueError("budget was built for a different number of phase slices")
-    if gap_scale < 0.0:
-        raise ValueError("gap_scale must be >= 0")
-    n_total = float(protocol.n_total)
-    eps_a = budget.eps_a
-    nvars = 2 * m
-
-    objective = np.zeros(nvars)
-    objective[0 : m - 1 : 2] = 1.0
-
-    a_eq = np.zeros((2, nvars))
-    a_eq[0, :m] = 1.0
-    a_eq[1, m:] = 1.0
-    b_eq = np.array([counts.n_2mu, counts.n_2nu]) / n_total
-
-    bounds = _gap_bounds(protocol, counts, eps_a)
-    rows = []
-    rhs = []
-    n0_scaled = counts.n_0 / n_total
-    for gb in bounds:
-        delta_scaled = gap_scale * gb.delta / n_total
-        if gb.kind == "decoy_pair":
-            row = np.zeros(nvars)
-            row[gb.j] = gb.coeff_left
-            row[m + gb.j] = -gb.coeff_right
-            rows.append(row)
-            rhs.append(delta_scaled)
-            rows.append(-row)
-            rhs.append(delta_scaled)
-        else:
-            v = 0 if gb.kind == "vacuum_mu" else m
-            row = np.zeros(nvars)
-            row[v] = -gb.coeff_right
-            rows.append(row)
-            rhs.append(delta_scaled - gb.coeff_left * n0_scaled)
-            rows.append(-row)
-            rhs.append(delta_scaled + gb.coeff_left * n0_scaled)
-
-    upper = np.array(
-        _upper_bounds(protocol.mu, protocol.p_mu, protocol, eps_a)
-        + _upper_bounds(protocol.nu, protocol.p_nu, protocol, eps_a)
-    ) / n_total
-
-    charges = _CHARGES_PER_GAP * len(bounds) + _CHARGES_PER_BOX * nvars
-    lp = LinearProgram(
-        objective=objective,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        lower=np.zeros(nvars),
-        upper=upper,
-        scale=n_total,
-        gap_bounds=tuple(bounds),
-        clamp_events=tuple(e for gb in bounds for e in gb.clamp_events),
-        eps_charges=charges,
-    )
-    return lp
+    """Assemble the phase-error LP for the given observations: build_lps on
+    this one candidate."""
+    return build_lps([protocol], [counts], budget, gap_scale=gap_scale).member(0)
 
 
 _DUMP_HEADER = "tfqkd-lp 1"
@@ -393,13 +534,14 @@ def _fmt(x: float) -> str:
 def dump_lp(lp: LinearProgram, path) -> None:
     """Write the LP as a plain-text tab-separated matrix file (17
     significant digits, exact binary64 round-trip) for external solvers."""
+    # Python floats format faster than numpy scalars, to the same digits.
     lines = [_DUMP_HEADER, f"nvars\t{lp.num_vars}", f"scale\t{_fmt(lp.scale)}"]
-    lines.append("objective\t" + "\t".join(_fmt(v) for v in lp.objective))
-    for row, b in zip(lp.a_eq, lp.b_eq):
+    lines.append("objective\t" + "\t".join(_fmt(v) for v in lp.objective.tolist()))
+    for row, b in zip(lp.a_eq.tolist(), lp.b_eq.tolist()):
         lines.append("eq\t" + "\t".join(_fmt(v) for v in row) + "\t" + _fmt(b))
-    for row, b in zip(lp.a_ub, lp.b_ub):
+    for row, b in zip(lp.a_ub.tolist(), lp.b_ub.tolist()):
         lines.append("le\t" + "\t".join(_fmt(v) for v in row) + "\t" + _fmt(b))
-    for lo, hi in zip(lp.lower, lp.upper):
+    for lo, hi in zip(lp.lower.tolist(), lp.upper.tolist()):
         lines.append(f"bound\t{_fmt(lo)}\t{_fmt(hi)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

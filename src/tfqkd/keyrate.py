@@ -16,7 +16,7 @@ from .channel import (
     expected_observations,
     sample_observations,
 )
-from .constraints import SecurityBudget, build_lp
+from .constraints import SecurityBudget, build_lp, build_lps
 from .numerics import binary_entropy, plob_bound
 from .simplex import solve_max, solve_max_batch
 
@@ -75,26 +75,28 @@ def _evaluate(
     """Phase-error bound and key length of each candidate protocol from its
     observations (None for a candidate whose signal cannot click).
 
-    A single candidate's LP goes to solve_max. Several candidates' LPs are
-    built as solve_max_batch reads them, so a search round shares its
-    pivots. A candidate without signal detections or with an infeasible LP
-    gets zero key, with the cause as its status. Without a channel the key
-    length is None (the phase-error bound alone).
+    A single candidate's LP is built by build_lp and solved by solve_max.
+    Several candidates' LPs are built together as stacked arrays
+    (build_lps) and solved by solve_max_batch, so a search round shares its
+    assembly and its pivots. A candidate without signal detections or with
+    an infeasible LP gets zero key, with the cause as its status. Without a
+    channel the key length is None (the phase-error bound alone).
     """
     detected = [counts is not None and counts.n_bit > 0.0 for counts in observations]
-    built = []
-
-    def phase_error_lps():
-        for protocol, counts, ok in zip(protocols, observations, detected):
-            if ok:
-                lp = build_lp(protocol, counts, budget, gap_scale=gap_scale)
-                built.append((lp.scale, lp.clamp_events))
-                yield lp
-
-    lps = phase_error_lps()
-    # bench/tracing.py counts solver work from solve_max results, so a lone
-    # LP is solved by solve_max itself.
-    solutions = [solve_max(lp) for lp in lps] if len(protocols) == 1 else solve_max_batch(lps)
+    kept = [k for k, ok in enumerate(detected) if ok]
+    if len(protocols) == 1:
+        # bench/tracing.py counts LP builds and solver work through
+        # build_lp and solve_max results, so a lone LP goes through both.
+        lps = [build_lp(protocols[0], observations[0], budget, gap_scale=gap_scale) for _ in kept]
+        solutions = [solve_max(lp) for lp in lps]
+        built = [(lp.scale, lp.clamp_events) for lp in lps]
+    else:
+        batch = build_lps(
+            [protocols[k] for k in kept], [observations[k] for k in kept], budget,
+            gap_scale=gap_scale,
+        )
+        solutions = solve_max_batch(batch)
+        built = [(scale, batch.clamp_events(i)) for i, scale in enumerate(batch.scale.tolist())]
     solved = iter(zip(solutions, built))
     outcomes = []
     for counts, ok in zip(observations, detected):
@@ -104,7 +106,8 @@ def _evaluate(
             continue
         sol, (scale, clamp_events) = next(solved)
         if sol.status == "infeasible":
-            outcomes.append(_Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, Diagnostics("infeasible")))
+            diagnostics = Diagnostics("infeasible", clamp_events, sol.iterations)
+            outcomes.append(_Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, diagnostics))
             continue
         if sol.status != "optimal":
             raise RuntimeError(f"unexpected LP status {sol.status!r}")

@@ -11,8 +11,9 @@ fidelity helpers apply that doubling internally.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import NamedTuple
+
+import numpy as np
 
 # Tail terms below this threshold are dropped once the running index has
 # passed the distribution mean (error is orders of magnitude below the
@@ -197,27 +198,24 @@ def chernoff_delta(x: float, y: float, z: float) -> Deviation:
     A negative x (which arises when forming residual trial counts from
     sampled data) is clamped to zero and flagged in the result.
     """
-    return chernoff_deltas((x,), (y,), z)[0]
+    value, clamped = chernoff_deltas(np.array([x], dtype=float), np.array([y], dtype=float), z)
+    return Deviation(float(value[0]), bool(clamped[0]))
 
 
-def chernoff_deltas(xs: Sequence[float], ys: Sequence[float], z: float) -> list[Deviation]:
-    """chernoff_delta for each pair (x, y) at a shared failure probability
-    z, in one call."""
+def chernoff_deltas(xs: np.ndarray, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """chernoff_delta elementwise over arrays of trial counts xs and rates
+    ys of one shape, at a shared failure probability z: the deviations and
+    the clamp flags, as two arrays."""
     if not 0.0 < z < 1.0:
         raise ValueError(f"failure probability z={z} outside (0, 1)")
-    log_inv_z = math.log(1.0 / z)
-    out = []
-    for x, y in zip(xs, ys):
-        if not 0.0 <= y <= 1.0:
-            raise ValueError(f"per-trial rate y={y} outside [0, 1]")
-        clamped = x < 0.0
-        if clamped:
-            x = 0.0
-        if x == 0.0 or y == 0.0:
-            out.append(Deviation(0.0, clamped))
-        else:
-            out.append(Deviation(math.sqrt(3.0 * x * y * log_inv_z), clamped))
-    return out
+    inside = (ys >= 0.0) & (ys <= 1.0)
+    if not inside.all():
+        raise ValueError(f"per-trial rate y={ys[~inside][0]} outside [0, 1]")
+    clamped = xs < 0.0
+    xs = np.where(clamped, 0.0, xs)
+    value = np.sqrt(3.0 * xs * ys * math.log(1.0 / z))
+    value[(xs == 0.0) | (ys == 0.0)] = 0.0
+    return value, clamped
 
 
 def plob_bound(eta: float) -> float:

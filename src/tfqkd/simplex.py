@@ -4,12 +4,11 @@ LPs pivoted together on stacked tableaux (solve_max_batch)."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import LinearProgram
+from .constraints import LinearProgram, LPBatch
 
 # Pivot eligibility threshold and default feasibility slack. The reduced-cost
 # optimality tolerance is 1e-9 relative to the largest objective coefficient.
@@ -35,6 +34,71 @@ class LPSolution:
     iterations: int
     row_duals: np.ndarray = field(default_factory=lambda: np.empty(0))
     reduced_costs: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+
+def _real_system(batch: LPBatch, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For members ids of the batch: the constraint matrix [A_eq 0; A_ub I]
+    over the structural and slack variables, the right-hand side b, and the
+    residual b - A x0 at the start point x0 (structural variables at their
+    lower bounds, slacks at zero)."""
+    a_eq, a_ub = batch.a_eq[ids], batch.a_ub[ids]
+    count, m_eq, n = a_eq.shape
+    m_ub = a_ub.shape[1]
+    a_real = np.zeros((count, m_eq + m_ub, n + m_ub))
+    a_real[:, :m_eq, :n] = a_eq
+    a_real[:, m_eq:, :n] = a_ub
+    a_real[:, m_eq:, n:] = np.eye(m_ub)
+    b = np.concatenate([batch.b_eq[ids], batch.b_ub[ids]], axis=1)
+    x_init = np.concatenate([batch.lower[ids], np.zeros((count, m_ub))], axis=1)
+    resid = b - (a_real @ x_init[:, :, None])[:, :, 0]
+    return a_real, b, resid
+
+
+def _start(batch: LPBatch, ids) -> dict:
+    """Initial simplex state of members ids of the batch, which need the
+    same number of artificial columns, stacked along a leading axis: the
+    standard form A x = b, lo <= x <= up over the structural variables,
+    slacks, then artificials, and the initial basis."""
+    a_real, b, resid = _real_system(batch, ids)
+    count, m, n_real = a_real.shape
+    n = batch.num_vars
+    m_eq = batch.a_eq.shape[1]
+    # All real variables start nonbasic at their lower bound. Slack
+    # columns cover inequality rows with nonnegative residual; only
+    # equality rows and sign-violated inequality rows get artificials,
+    # numbered in row order.
+    art = resid < 0.0
+    art[:, :m_eq] = True
+    n_art = int(art[0].sum())
+    member, row = np.nonzero(art)
+    col = n_real + (np.cumsum(art, axis=1) - 1)[member, row]
+    sgn = np.where(resid >= 0.0, 1.0, -1.0)
+
+    a = np.zeros((count, m, n_real + n_art))
+    a[:, :, :n_real] = a_real
+    a[member, row, col] = sgn[member, row]
+    diag = np.where(art, sgn, 1.0)
+    basis = np.where(resid >= 0.0, n - m_eq + np.arange(m), 0)
+    basis[member, row] = col
+    is_basic = np.zeros(a.shape[::2], dtype=bool)
+    np.put_along_axis(is_basic, basis, True, axis=1)
+    pad = np.zeros((count, n_real + n_art - n))
+    return {
+        "n_struct": n,
+        "n_real": n_real,
+        "m": m,
+        "n_art": n_art,
+        "objective": batch.objective[ids],
+        "a": a,
+        "b": b,
+        "lo": np.concatenate([batch.lower[ids], pad], axis=1),
+        "up": np.concatenate([batch.upper[ids], pad + np.inf], axis=1),
+        "basis": basis,
+        "at_upper": np.zeros(a.shape[::2], dtype=bool),
+        "is_basic": is_basic,
+        "tab": a / diag[:, :, None],  # B^{-1} A for the initial diagonal basis
+        "x_basic": np.where(art, np.abs(resid), resid),
+    }
 
 
 class _Tableau:
@@ -133,12 +197,12 @@ class _Tableau:
 
             lo_b = self.lo[self.basis]
             up_b = self.up[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.full(self.m, np.inf)
-                dec = step < -PIVOT_EPS
-                ratio[dec] = (self.x_basic[dec] - lo_b[dec]) / -step[dec]
-                inc = step > PIVOT_EPS
-                ratio[inc] = (up_b[inc] - self.x_basic[inc]) / step[inc]
+            # Each division is masked to |step| > PIVOT_EPS.
+            ratio = np.full(self.m, np.inf)
+            dec = step < -PIVOT_EPS
+            ratio[dec] = (self.x_basic[dec] - lo_b[dec]) / -step[dec]
+            inc = step > PIVOT_EPS
+            ratio[inc] = (up_b[inc] - self.x_basic[inc]) / step[inc]
             ratio = np.maximum(ratio, 0.0)  # degenerate negatives are zero steps
             theta_rows = ratio.min() if self.m else np.inf
             theta_bound = self.up[j] - self.lo[j]
@@ -229,9 +293,9 @@ _RUN_STATE = ("basis", "at_upper", "is_basic", "iterations")
 
 
 class _Stack:
-    """_Tableau states of equal shape (rows, structural, slack and
-    artificial columns), stacked along a leading member axis and pivoted
-    together. Member k is the caller's LP ids[k].
+    """The simplex states of members ids of a batch, which need the
+    same number of artificial columns, stacked along a leading member axis
+    and pivoted together. Member k is the batch's member ids[k].
 
     Each member repeats the arithmetic _Tableau does on it alone: the
     elementwise steps are the same operations, every reduction runs within
@@ -240,19 +304,10 @@ class _Stack:
     same pivots and ends with the same numbers as under solve_max.
     """
 
-    def __init__(self, ids: list[int], tableaux: list[_Tableau]):
-        first = tableaux[0]
-        self.n_struct = first.n_struct
-        self.n_real = first.n_real
-        self.n_art = first.n_art
-        self.m = first.m
-        self.ids = np.asarray(ids, dtype=np.intp)
-        for name in ("objective", "a", "b", "tab", "x_basic", "lo", "up", "at_upper", "is_basic"):
-            setattr(self, name, np.stack([getattr(tb, name) for tb in tableaux]))
-        self.basis = np.array([tb.basis for tb in tableaux], dtype=np.intp).reshape(
-            len(tableaux), self.m
-        )
-        self.iterations = np.zeros(len(tableaux), dtype=np.int64)
+    def __init__(self, batch: LPBatch, ids: np.ndarray):
+        vars(self).update(_start(batch, ids))
+        self.ids = ids
+        self.iterations = np.zeros(len(ids), dtype=np.int64)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the members where mask is False."""
@@ -413,38 +468,37 @@ class _Stack:
             tab[p] -= update
 
 
-def solve_max_batch(lps: Iterable[LinearProgram]) -> list[LPSolution]:
-    """solve_max on each LP, with the pivots of many LPs done together.
+def solve_max_batch(batch: LPBatch) -> list[LPSolution]:
+    """solve_max on each member of the batch, with the pivots of many
+    members done together.
 
-    LPs whose tableaux have the same shape are stacked, up to BATCH_CHUNK at
-    a time, and pivoted as one; a member leaves the stack when it finishes.
-    Result i equals solve_max(lps[i]) bit for bit: status, pivot count,
-    values and duals. The per-pivot overhead is shared by the stack, so this
-    pays off for many LPs; a shape that holds a single LP is solved on its
-    own tableau as solve_max does, which costs less than a stack of one. The
-    LPs are read lazily; each shape's stack is solved as soon as it is full,
-    so at most BATCH_CHUNK - 1 unsolved tableaux of each shape are held.
+    Members that need the same number of artificial columns are stacked,
+    up to BATCH_CHUNK at a time, and pivoted as one; a member leaves the
+    stack when it finishes. Result k equals solve_max(batch.member(k)) bit
+    for bit: status, pivot count, values and duals. The per-pivot overhead
+    is shared by the stack, so this pays off for many LPs; a member alone
+    in its group is solved on its own tableau as solve_max does, which
+    costs less than a stack of one. The stacks are set up from the batch's
+    arrays one at a time, so at most BATCH_CHUNK tableaux are held.
     """
-    results: list[LPSolution | None] = []
-    pending: dict[tuple[int, int, int, int], list[tuple[int, _Tableau]]] = {}
-
-    def solve(group: list[tuple[int, _Tableau]]) -> None:
-        if len(group) == 1:
-            i, tb = group[0]
-            results[i] = tb.solve()
-        else:
-            _Stack(*zip(*group)).solve(results)
-
-    for lp in lps:
-        tb = _Tableau(lp)
-        key = (tb.m, tb.n_struct, tb.n_real, tb.n_art)
-        pending.setdefault(key, []).append((len(results), tb))
-        results.append(None)
-        # The stack copies the tableaux, so a solved group is dropped first.
-        if len(pending[key]) == BATCH_CHUNK:
-            solve(pending.pop(key))
-    while pending:
-        solve(pending.popitem()[1])
+    batch.validate()
+    if not np.all(np.isfinite(batch.lower)):
+        raise ValueError("lower bounds must be finite")
+    results: list[LPSolution | None] = [None] * len(batch)
+    m_eq = batch.a_eq.shape[1]
+    n_art = np.zeros(len(batch), dtype=np.intp)
+    for start in range(0, len(batch), BATCH_CHUNK):
+        ids = np.arange(start, min(start + BATCH_CHUNK, len(batch)))
+        _, _, resid = _real_system(batch, ids)
+        n_art[ids] = m_eq + np.count_nonzero(resid[:, m_eq:] < 0.0, axis=1)
+    for count in np.unique(n_art):
+        group = np.flatnonzero(n_art == count)
+        for start in range(0, len(group), BATCH_CHUNK):
+            ids = group[start : start + BATCH_CHUNK]
+            if len(ids) == 1:
+                results[ids[0]] = _Tableau(batch.member(ids[0])).solve()
+            else:
+                _Stack(batch, ids).solve(results)
     return results
 
 

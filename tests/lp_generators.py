@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 
 from tfqkd import ChannelParams, ProtocolParams, build_lp, expected_observations, make_budget
-from tfqkd.constraints import LinearProgram
+from tfqkd.constraints import LinearProgram, LPBatch
+from tfqkd.optimize import _geom_grid, _lin_grid
 from tfqkd.simplex import LPSolution
 
 TABLE1 = ChannelParams(e_m=0.03, p_d=1e-8, xi=0.2, eta_d=0.3, f_ec=1.1)
@@ -43,6 +44,31 @@ def paper_shaped_lp(rng) -> LinearProgram:
     budget = make_budget(n_phases=2, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20)
     counts = expected_observations(proto, TABLE1, float(rng.uniform(10, 250)))
     return build_lp(proto, counts, budget)
+
+
+def stack_lps(lps) -> LPBatch:
+    """LPs of one shape as one batch (LP arrays and scales only)."""
+    names = ("objective", "a_eq", "b_eq", "a_ub", "b_ub", "lower", "upper")
+    arrays = {name: np.stack([getattr(lp, name) for lp in lps]) for name in names}
+    return LPBatch(**arrays, scale=np.array([lp.scale for lp in lps]))
+
+
+def first_search_round(channel, n_phases, n_total, l_km):
+    """Candidates and observations of the first search round of
+    scripts/rate_distance.py."""
+    candidates, observations = [], []
+    for mu, nu, p_mu, p_nu in itertools.product(
+        _geom_grid(0.005, 0.15, 5),
+        _geom_grid(0.01, 0.4, 5),
+        _lin_grid(0.5, 0.95, 5),
+        _lin_grid(0.02, 0.4, 5),
+    ):
+        if p_mu + p_nu > 1.0 + 1e-12:
+            continue
+        proto = ProtocolParams.make(mu, nu, p_mu, p_nu, n_phases, int(n_total))
+        candidates.append(proto)
+        observations.append(expected_observations(proto, channel, l_km))
+    return candidates, observations
 
 
 def brute_force_solve(lp: LinearProgram, max_vars: int = 10) -> LPSolution:

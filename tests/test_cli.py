@@ -92,6 +92,33 @@ class TestConfigParsing:
         schema = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
         jsonschema.validate(base_config(), schema)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
+    @pytest.mark.parametrize(
+        "field, place",
+        [
+            ("n_total", lambda cfg, v: cfg.update(n_total=v)),
+            ("seed", lambda cfg, v: cfg.update(seed=v)),
+            ("threads", lambda cfg, v: cfg.update(threads=v)),
+            ("distances[1]", lambda cfg, v: cfg.update(distances=[40.0, v])),
+            (
+                "distances.stop",
+                lambda cfg, v: cfg.update(distances={"start": 0, "stop": v, "step": 1}),
+            ),
+            ("channel.xi", lambda cfg, v: cfg["channel"].update(xi=v)),
+            ("protocol.mu", lambda cfg, v: cfg["protocol"].update(mu=v)),
+        ],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, field, place, value):
+        # json.dumps writes NaN / Infinity / -Infinity, which json.load
+        # accepts, and an integer too large for a float.
+        cfg = base_config()
+        place(cfg, value)
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"{field}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

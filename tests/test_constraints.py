@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from tfqkd import (
+    GapBound,
     ObservedCounts,
     ProtocolParams,
     build_lp,
@@ -14,11 +16,12 @@ from tfqkd import (
     make_budget,
     variable_upper_bound,
 )
-from tfqkd.constraints import budget_multiplier, dump_lp
-from tfqkd.numerics import folded_poisson
+from tfqkd.channel import NoDetections, sample_observations
+from tfqkd.constraints import budget_multiplier, build_lps, dump_lp
+from tfqkd.numerics import folded_distinguishability, folded_poisson, vacuum_distinguishability
 from tfqkd.simplex import load_lp
 
-from lp_generators import brute_force_solve
+from lp_generators import brute_force_solve, first_search_round
 
 GOLDEN = Path(__file__).parent / "golden" / "lp_m8_table1_L100.txt"
 
@@ -265,3 +268,131 @@ class TestBuildLp:
         np.testing.assert_array_equal(lp.lower, back.lower)
         np.testing.assert_array_equal(lp.upper, back.upper)
         assert lp.scale == back.scale
+
+
+def scalar_gap_bounds(protocol, counts, eps_a):
+    """Reference: the gap bounds of one LP in LP order, evaluated one at a
+    time in Python floats with the same formulas as the array builder."""
+    m, n_total = protocol.n_phases, float(protocol.n_total)
+    log_inv_z = math.log(1.0 / eps_a)
+
+    def deviation(x, y):
+        clamped = x < 0.0
+        x = 0.0 if clamped else x
+        return (0.0 if x == 0.0 or y == 0.0 else math.sqrt(3.0 * x * y * log_inv_z)), clamped
+
+    def class_probabilities(intensity, p_label):
+        factor = 2.0 * p_label**2 / m
+        return [factor * folded_poisson(j, 2.0 * intensity, m) for j in range(m)]
+
+    q_mu = class_probabilities(protocol.mu, protocol.p_mu)
+    q_nu = class_probabilities(protocol.nu, protocol.p_nu)
+    p_vac = protocol.p_o**2
+    pairs = [
+        ("vacuum_mu", 0, p_vac, q_mu[0], vacuum_distinguishability(protocol.mu, m),
+         counts.n_0, counts.n_2mu),
+        ("vacuum_nu", 0, p_vac, q_nu[0], vacuum_distinguishability(protocol.nu, m),
+         counts.n_0, counts.n_2nu),
+    ] + [
+        ("decoy_pair", j, q_mu[j], q_nu[j],
+         folded_distinguishability(j, protocol.mu, protocol.nu, m), counts.n_2mu, counts.n_2nu)
+        for j in range(m)
+    ]
+    bounds = []
+    for kind, j, p1, p2, s, left, right in pairs:
+        if p1 > p2:
+            ratio = p2 / p1
+            coeff_left, coeff_right, p_small, last = ratio, 1.0, p2, left
+        else:
+            ratio = p1 / p2 if p2 > 0.0 else 1.0
+            coeff_left, coeff_right, p_small, last = 1.0, ratio, p1, right
+        d_pair, _ = deviation(n_total, 2.0 * p_small)
+        d_last, _ = deviation(last, ratio)
+        n1 = 2.0 * n_total * p_small + d_pair
+        n2 = 2.0 * n_total * p_small - d_pair
+        d_guess, _ = deviation(n1, (1.0 + s) / 2.0)
+        d_flip, flip_clamped = deviation(n2 - left - right, 0.5)
+        events = [f"{kind}[{j}]: residual trial count below zero"] if flip_clamped else []
+        delta = n1 * s + 2.0 * d_guess - 2.0 * d_flip + d_last
+        if delta < 0.0:
+            events.append(f"{kind}[{j}]: delta {delta:.6g} clamped to 0")
+            delta = 0.0
+        bounds.append(GapBound(kind, j, coeff_left, coeff_right, delta, tuple(events)))
+    return tuple(bounds)
+
+
+def assert_members_are_lone_builds(candidates, observations, budget):
+    """Each member of a batch built with build_lps must equal build_lp on
+    its candidate alone, bit for bit."""
+    batch = build_lps(candidates, observations, budget)
+    assert len(batch) == len(candidates)
+    for k, (proto, counts) in enumerate(zip(candidates, observations)):
+        lone = build_lp(proto, counts, budget)
+        member = batch.member(k)
+        for name in ("objective", "a_eq", "b_eq", "a_ub", "b_ub", "lower", "upper"):
+            got, want = getattr(member, name), getattr(lone, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, name)
+        assert member.scale == lone.scale == batch.scale[k]
+        for field in ("coeff_left", "coeff_right", "delta"):
+            want = np.array([getattr(gb, field) for gb in lone.gap_bounds])
+            assert getattr(batch, field)[k].tobytes() == want.tobytes(), (k, field)
+        assert member.gap_bounds == lone.gap_bounds
+        assert lone.gap_bounds == scalar_gap_bounds(proto, counts, budget.eps_a)
+        assert member.clamp_events == batch.clamp_events(k) == lone.clamp_events
+        assert member.eps_charges == lone.eps_charges == budget_multiplier(proto.n_phases)
+    return batch
+
+
+class TestBuildLps:
+    @pytest.mark.parametrize("n_total", [1e12, 1e14])
+    def test_search_round_members_are_lone_builds(self, channel, budget_m8, n_total):
+        candidates, observations = first_search_round(channel, 8, n_total, 240.0)
+        assert len(candidates) == 375
+        assert_members_are_lone_builds(candidates, observations, budget_m8)
+
+    def test_m16_round_members_are_lone_builds(self, channel):
+        budget = make_budget(n_phases=16, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20)
+        batch = assert_members_are_lone_builds(
+            *first_search_round(channel, 16, 1e14, 250.0), budget
+        )
+        assert batch.a_ub.shape == (375, 36, 32)
+
+    @pytest.mark.parametrize("n_total", [1e6, 1e8])
+    def test_sampled_low_n_members_clamp(self, channel, budget_m8, n_total):
+        rng = np.random.default_rng(int(n_total))
+        candidates, observations = [], []
+        for seed in range(60):
+            mu, nu = rng.uniform(0.01, 0.4, size=2)
+            p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
+            proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(n_total))
+            try:
+                counts = sample_observations(proto, channel, float(rng.uniform(0, 60)), seed)
+            except NoDetections:
+                continue
+            candidates.append(proto)
+            observations.append(counts)
+        batch = assert_members_are_lone_builds(candidates, observations, budget_m8)
+        events = [batch.clamp_events(k) for k in range(len(batch))]
+        assert all(events) and len(set(events)) > 1
+
+    def test_infeasible_and_no_detection_members(self, channel, budget_m8, protocol_m8):
+        counts = expected_observations(protocol_m8, channel, 120.0)
+        infeasible = dataclasses.replace(counts, n_2nu=3.0 * counts.n_2nu)
+        no_detection = ObservedCounts(0.0, counts.n_2nu, counts.n_0, 0.0, 0.0)
+        assert_members_are_lone_builds(
+            [protocol_m8] * 3, [counts, infeasible, no_detection], budget_m8
+        )
+
+    def test_empty_round(self, budget_m8):
+        batch = build_lps([], [], budget_m8)
+        assert len(batch) == 0
+        assert batch.a_ub.shape == (0, 20, 16)
+
+    def test_rejects_mixed_rounds(self, channel, budget_m8, protocol_m8):
+        counts = expected_observations(protocol_m8, channel, 100.0)
+        other_n = dataclasses.replace(protocol_m8, n_total=int(1e13))
+        with pytest.raises(ValueError, match="n_total"):
+            build_lps([protocol_m8, other_n], [counts, counts], budget_m8)
+        other_m = dataclasses.replace(protocol_m8, n_phases=2)
+        with pytest.raises(ValueError, match="phase slices"):
+            build_lps([protocol_m8, other_m], [counts, counts], budget_m8)

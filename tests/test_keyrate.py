@@ -15,6 +15,7 @@ from tfqkd import (
     key_length,
     phase_error_upper_bound,
 )
+from tfqkd import keyrate
 from tfqkd.keyrate import Diagnostics, _evaluate, _Outcome
 from tfqkd.numerics import folded_poisson
 from tfqkd.simplex import solve_max
@@ -174,12 +175,22 @@ class TestAnalyze:
             report = analyze(protocol_m8, channel, l_km, budget_m8)
             assert report.key_length >= 0.0
 
-    def test_infeasible_observations_fold_to_zero_key(self, budget_m8, protocol_m8, channel):
+    def test_infeasible_observations_fold_to_zero_key(
+        self, budget_m8, protocol_m8, channel, monkeypatch
+    ):
         # an absurd vacuum count contradicts the class-0 anchors
         counts = expected_observations(protocol_m8, channel, 100.0)
         bad = ObservedCounts(counts.n_2mu, counts.n_2nu, 1e11, counts.n_2mu, counts.e_bit)
+        monkeypatch.setattr(keyrate, "observe", lambda *args: bad)
+        report = analyze(protocol_m8, channel, 100.0, budget_m8)
         lp = build_lp(protocol_m8, bad, budget_m8)
-        assert solve_max(lp).status == "infeasible"
+        assert report.diagnostics == Diagnostics(
+            "infeasible", lp.clamp_events, solve_max(lp).iterations
+        )
+        assert report.diagnostics.lp_iterations > 0
+        assert (report.n_bit, report.e_bit) == (bad.n_bit, bad.e_bit)
+        assert report.n_ph_upper == report.e_ph_upper == 0.0
+        assert report.key_length == report.key_rate == 0.0
 
     def test_sampled_mode_deterministic(self, channel, budget_m8, protocol_m8):
         a = analyze(protocol_m8, channel, 100.0, budget_m8, mode="sampled", seed=7)
@@ -194,11 +205,15 @@ class TestAnalyze:
             observations.append(expected_observations(proto, channel, l_km))
             report = analyze(proto, channel, l_km, budget_m8)
             expected.append(tuple(getattr(report, name) for name in _Outcome._fields))
-        bad = observations[1]
+        bad = dataclasses.replace(observations[1], n_2nu=3.0 * observations[1].n_2nu)
         candidates.append(candidates[1])
-        observations.append(dataclasses.replace(bad, n_2nu=3.0 * bad.n_2nu))
-        # infeasible phase-error LP
-        expected.append((bad.n_bit, bad.e_bit, 0.0, 0.0, 0.0, Diagnostics("infeasible")))
+        observations.append(bad)
+        # infeasible phase-error LP, with its clamp events and pivots
+        lp = build_lp(candidates[1], bad, budget_m8)
+        sol = solve_max(lp)
+        assert sol.status == "infeasible" and sol.iterations > 0
+        diagnostics = Diagnostics("infeasible", lp.clamp_events, sol.iterations)
+        expected.append((bad.n_bit, bad.e_bit, 0.0, 0.0, 0.0, diagnostics))
         candidates.append(candidates[0])
         observations.append(None)  # no detections
         expected.append((0.0, 0.0, 0.0, 0.0, 0.0, Diagnostics("no_detections")))

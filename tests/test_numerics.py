@@ -9,6 +9,7 @@ from tfqkd import numerics
 from tfqkd.numerics import (
     binary_entropy,
     chernoff_delta,
+    chernoff_deltas,
     folded_distinguishability,
     folded_fidelity,
     folded_poisson,
@@ -198,6 +199,24 @@ class TestChernoffDelta:
     def test_rate_domain(self):
         with pytest.raises(ValueError):
             chernoff_delta(10.0, 1.5, 0.1)
+
+    def test_array_form(self):
+        xs = np.array([[100.0, -5.0, 0.0], [7.0, 3e12, 2.5]])
+        ys = np.array([[0.5, 0.5, 0.3], [0.0, 1e-3, 1.0]])
+        z = 1e-20
+        value, clamped = chernoff_deltas(xs, ys, z)
+        assert value.shape == clamped.shape == xs.shape
+        assert clamped.tolist() == [[False, True, False], [False, False, False]]
+        want = [
+            math.sqrt(3.0 * x * y * math.log(1.0 / z)) if x > 0.0 and y > 0.0 else 0.0
+            for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())
+        ]
+        assert value.ravel().tolist() == want
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_array_rate_domain(self, bad):
+        with pytest.raises(ValueError, match="per-trial rate"):
+            chernoff_deltas(np.ones(3), np.array([0.5, bad, 0.5]), 0.1)
 
     @given(
         st.floats(min_value=1.0, max_value=1e12),

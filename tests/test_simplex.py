@@ -1,15 +1,19 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 
 from tfqkd import ProtocolParams, build_lp, expected_observations, simplex
-from tfqkd.constraints import LinearProgram
-from tfqkd.optimize import _geom_grid, _lin_grid
+from tfqkd.constraints import LinearProgram, build_lps
 from tfqkd.simplex import load_lp, solve_max, solve_max_batch
 
-from lp_generators import brute_force_solve, paper_shaped_lp, random_lp
+from lp_generators import (
+    brute_force_solve,
+    first_search_round,
+    paper_shaped_lp,
+    random_lp,
+    stack_lps,
+)
 
 
 def box_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, lower=None, upper=None):
@@ -176,52 +180,49 @@ class TestSolverContracts:
         assert sol.objective_value * lp.scale <= counts.n_2mu * (1.0 + 1e-9)
 
 
+def assert_same_solution(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    if want.status == "infeasible":
+        assert np.isnan(got.objective_value)
+    else:
+        assert got.objective_value == want.objective_value
+    np.testing.assert_array_equal(got.variable_values, want.variable_values)
+    np.testing.assert_array_equal(got.row_duals, want.row_duals)
+    np.testing.assert_array_equal(got.reduced_costs, want.reduced_costs)
+
+
 def assert_same_solutions(lps):
-    """solve_max_batch must reproduce solve_max exactly on every LP."""
-    batched = solve_max_batch(lps)
-    assert len(batched) == len(lps)
+    """solve_max_batch, on the LPs stacked by shape, must reproduce
+    solve_max exactly on every LP."""
+    groups = {}
+    for i, lp in enumerate(lps):
+        groups.setdefault((lp.num_vars, len(lp.b_eq), len(lp.b_ub)), []).append(i)
+    batched = [None] * len(lps)
+    for ids in groups.values():
+        for i, sol in zip(ids, solve_max_batch(stack_lps([lps[i] for i in ids]))):
+            batched[i] = sol
     for lp, got in zip(lps, batched):
-        want = solve_max(lp)
-        assert got.status == want.status
-        assert got.iterations == want.iterations
-        if want.status == "infeasible":
-            assert np.isnan(got.objective_value)
-        else:
-            assert got.objective_value == want.objective_value
-        np.testing.assert_array_equal(got.variable_values, want.variable_values)
-        np.testing.assert_array_equal(got.row_duals, want.row_duals)
-        np.testing.assert_array_equal(got.reduced_costs, want.reduced_costs)
+        assert_same_solution(got, solve_max(lp))
     return batched
 
 
 class TestBatchedSolver:
     def test_generator_instances_by_shape(self):
-        # The 1050 instances of acceptance criterion 4, in its draw order.
+        # The 1050 instances of acceptance criterion 4, in its draw order,
+        # stacked by shape.
         rng = np.random.default_rng(20260810)
         lps = [random_lp(rng) for _ in range(1000)] + [paper_shaped_lp(rng) for _ in range(50)]
-        groups = {}
-        for lp in lps:
-            groups.setdefault((lp.num_vars, len(lp.b_eq), len(lp.b_ub)), []).append(lp)
-        for group in groups.values():
-            assert_same_solutions(group)
         statuses = {sol.status for sol in assert_same_solutions(lps)}
         assert statuses == {"optimal", "infeasible"}
 
     def test_grid_round_with_infeasible_member(self, channel, budget_m8):
-        # The first search round of scripts/rate_distance.py at 240 km,
-        # N = 1e14: its LPs need 2, 3 or 4 artificial columns.
-        lps = []
-        for mu, nu, p_mu, p_nu in itertools.product(
-            _geom_grid(0.005, 0.15, 5),
-            _geom_grid(0.01, 0.4, 5),
-            _lin_grid(0.5, 0.95, 5),
-            _lin_grid(0.02, 0.4, 5),
-        ):
-            if p_mu + p_nu > 1.0 + 1e-12:
-                continue
-            proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(1e14))
-            counts = expected_observations(proto, channel, 240.0)
-            lps.append(build_lp(proto, counts, budget_m8))
+        # The first search round at 240 km, N = 1e14: its LPs need 2, 3 or
+        # 4 artificial columns.
+        lps = [
+            build_lp(proto, counts, budget_m8)
+            for proto, counts in zip(*first_search_round(channel, 8, 1e14, 240.0))
+        ]
         # Three times the decoy clicks contradict the gap bounds.
         proto = ProtocolParams.make(0.05, 0.1, 0.6, 0.3, 8, int(1e12))
         counts = expected_observations(proto, channel, 120.0)
@@ -231,15 +232,34 @@ class TestBatchedSolver:
         assert len(lps) == 376
         assert statuses.count("infeasible") == 1 and statuses[17] == "infeasible"
 
+    @pytest.mark.parametrize("n_art", [2, 3, 4])
+    def test_stack_set_up_from_arrays(self, channel, budget_m8, n_art):
+        # One stack of first-round members that need n_art artificial
+        # columns, set up straight from the round's stacked LP arrays.
+        batch = build_lps(*first_search_round(channel, 8, 1e14, 240.0), budget_m8)
+        _, _, resid = simplex._real_system(batch, np.arange(len(batch)))
+        counts = 2 + np.count_nonzero(resid[:, 2:] < 0.0, axis=1)
+        assert set(counts.tolist()) == {2, 3, 4}
+        ids = np.flatnonzero(counts == n_art)[: simplex.BATCH_CHUNK]
+        assert len(ids) > 1
+        stack = simplex._Stack(batch, ids)
+        assert stack.n_art == n_art
+        assert stack.a.shape == (len(ids), 22, 16 + 20 + n_art)
+        results = [None] * len(batch)
+        stack.solve(results)
+        for k in ids:
+            assert_same_solution(results[k], solve_max(batch.member(k)))
+
     def test_lone_shape_next_to_full_stacks(self, monkeypatch):
-        # Two full stacks of one shape and, between them, the only LP of
-        # another shape, which is solved on its own tableau.
+        # Two full stacks of members that need one artificial column and,
+        # between them, the only member that needs two, which is solved on
+        # its own tableau.
         sizes = []
 
         class RecordingStack(simplex._Stack):
-            def __init__(self, ids, tableaux):
+            def __init__(self, batch, ids):
                 sizes.append(len(ids))
-                super().__init__(ids, tableaux)
+                super().__init__(batch, ids)
 
         monkeypatch.setattr(simplex, "_Stack", RecordingStack)
         stacked = [
@@ -247,8 +267,8 @@ class TestBatchedSolver:
                    a_eq=[[1.0, -1.0]], b_eq=[0.1 * k], upper=[3.0, 1.0])
             for k in range(2 * simplex.BATCH_CHUNK)
         ]
-        lone = box_lp([1.0, 2.0, -1.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[2.5],
-                      a_eq=[[1.0, 0.0, 1.0]], b_eq=[1.0], upper=[2.0, 1.0, 2.0])
+        lone = box_lp([1.0, 2.0], a_ub=[[-1.0, 1.0]], b_ub=[-0.5],
+                      a_eq=[[1.0, 1.0]], b_eq=[1.0], upper=[2.0, 1.0])
         lps = stacked[:5] + [lone] + stacked[5:]
         statuses = [sol.status for sol in assert_same_solutions(lps)]
         assert sizes == [simplex.BATCH_CHUNK, simplex.BATCH_CHUNK]
@@ -263,8 +283,8 @@ class TestBatchedSolver:
         statuses = [sol.status for sol in assert_same_solutions(lps)]
         assert statuses == ["optimal", "unbounded", "optimal"]
 
-    def test_empty_input(self):
-        assert solve_max_batch([]) == []
+    def test_empty_input(self, budget_m8):
+        assert solve_max_batch(build_lps([], [], budget_m8)) == []
 
 
 class TestExternalSolverCrossCheck:
