@@ -233,6 +233,13 @@ def _gap_bounds(
     )[0]
     n1 = 2.0 * n_total * p_small + d_pair
     n2 = 2.0 * n_total * p_small - d_pair
+    # The residual trial count n2 - left - right subtracts whole-intensity
+    # totals (n_2mu, n_2nu, n_0), not the pair's class counts, so it is often
+    # clamped at zero: the "residual trial count below zero" event of nearly
+    # every LP. That is conservative: the totals are at least the class
+    # counts, a smaller residual gives a smaller d_flip, and d_flip enters
+    # delta negatively. Class counts are LP variables; using them would put
+    # a square root of LP variables into a constraint.
     (d_guess, d_flip), (_, flip_clamped) = chernoff_deltas(
         np.array([n1, n2 - left - right]),
         np.array([(1.0 + s) / 2.0, np.full(s.shape, 0.5)]),
@@ -377,72 +384,78 @@ def _gap_row_layout(m_phases: int) -> tuple[np.ndarray, ...]:
     return np.array(rows), np.array(cols), np.array(src), np.array(sign)
 
 
-class _GapRows:
-    """The a_ub of a build_lps batch, held as the nonzero entries of its
-    gap-bound rows, (B, 4M + 4), and filled into dense rows when indexed:
-    the dense a_ub of a 625-candidate round would take 1.6 MB."""
-
-    def __init__(self, values: np.ndarray, m_phases: int):
-        self.values = values
-        self.m_phases = m_phases
-        self.shape = values.shape[:1] + (2 * m_phases + 4, 2 * m_phases)
-
-    def __getitem__(self, ids) -> np.ndarray:
-        values = self.values[ids]
-        rows, cols, _, _ = _gap_row_layout(self.m_phases)
-        dense = np.zeros(values.shape[:-1] + self.shape[1:])
-        dense[..., 1::2, :] = -0.0  # the negated zeros of each second row
-        dense[..., rows, cols] = values
-        return dense
-
-
 @dataclass
 class LPBatch:
-    """LPs of one shape, stacked along a leading member axis: member k is
-    the LinearProgram of row k of each array, in units of scale[k].
-
-    build_lps also fills the build report: the gap-bound coefficients and
-    deltas as (B, M + 2) arrays in LP order, the clamp events per gap bound
-    of the members that clamp, and the failure-probability charges (the
-    same for every member). Its a_ub is a _GapRows, which gives dense rows
-    when indexed.
+    """Phase-error LPs of one shape, stacked along a leading member axis;
+    member k is in units of scale[k], and member(k) is its dense
+    LinearProgram. The LP is separable: class j's constraints involve only
+    its signal and decoy yields x_j, y_j (boxes() and strips() give its
+    polygon), and only the count equalities b_eq link the classes. The
+    build report holds the gap-bound coefficients and deltas as (B, M + 2)
+    arrays in LP order, the clamp events per gap bound of the members that
+    clamp, and the failure-probability charges (the same for every member).
     """
 
-    objective: np.ndarray
-    a_eq: np.ndarray
     b_eq: np.ndarray
-    a_ub: np.ndarray | _GapRows
     b_ub: np.ndarray
-    lower: np.ndarray
     upper: np.ndarray
     scale: np.ndarray
-    coeff_left: np.ndarray | None = None
-    coeff_right: np.ndarray | None = None
-    delta: np.ndarray | None = None
+    coeff_left: np.ndarray
+    coeff_right: np.ndarray
+    delta: np.ndarray
     gap_events: dict[int, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
     eps_charges: int = 0
 
-    num_vars = LinearProgram.num_vars
-    validate = LinearProgram.validate
-
     def __len__(self) -> int:
-        return self.objective.shape[0]
+        return self.b_eq.shape[0]
+
+    @property
+    def n_phases(self) -> int:
+        return self.delta.shape[1] - 2
 
     def clamp_events(self, k: int) -> tuple[str, ...]:
         return tuple(e for events in self.gap_events.get(k, ()) for e in events)
 
+    def boxes(self) -> np.ndarray:
+        """Bounds of each class's yields, (B, 4, M): rows x_lo, x_hi, y_lo,
+        y_hi. Class 0's box is cut by its two vacuum rows, which bound
+        r x_0 and r' y_0 from both sides; a zero coefficient leaves the box
+        whole when its rows hold at zero and empties it otherwise."""
+        m = self.n_phases
+        boxes = np.zeros((len(self), 4, m))
+        boxes[:, 1] = self.upper[:, :m]
+        boxes[:, 3] = self.upper[:, m:]
+        coeff = self.coeff_right[:, :2]
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 cuts nothing
+            boxes[:, 0:4:2, 0] = np.fmax(0.0, -self.b_ub[:, 0:4:2] / coeff)
+            boxes[:, 1:4:2, 0] = np.fmin(self.upper[:, [0, m]], self.b_ub[:, 1:4:2] / coeff)
+        return boxes
+
+    def strips(self) -> np.ndarray:
+        """Decoy-pair strip |a x_j - b y_j| <= d of each class, (B, 3, M):
+        rows a, b, d."""
+        return np.stack(
+            [self.coeff_left[:, 2:], self.coeff_right[:, 2:], self.b_ub[:, 4::2]], axis=1
+        )
+
     def member(self, k: int) -> LinearProgram:
-        gap_bounds = ()
-        if self.delta is not None:
-            gap_bounds = _gap_bound_records(
-                self.delta.shape[1] - 2, self.coeff_left[k], self.coeff_right[k], self.delta[k],
-                self.gap_events.get(k),
-            )
+        """Member k as a dense LinearProgram."""
+        m = self.n_phases
+        objective = np.zeros(2 * m)
+        objective[0 : m - 1 : 2] = 1.0
+        a_eq = np.zeros((2, 2 * m))
+        a_eq[0, :m] = 1.0
+        a_eq[1, m:] = 1.0
+        rows, cols, src, sign = _gap_row_layout(m)
+        a_ub = np.zeros((2 * m + 4, 2 * m))
+        a_ub[1::2] = -0.0  # the negated zeros of each second row
+        a_ub[rows, cols] = np.concatenate([self.coeff_left[k], self.coeff_right[k]])[src] * sign
         return LinearProgram(
-            self.objective[k], self.a_eq[k], self.b_eq[k], self.a_ub[k], self.b_ub[k],
-            self.lower[k], self.upper[k],
+            objective, a_eq, self.b_eq[k], a_ub, self.b_ub[k], np.zeros(2 * m), self.upper[k],
             scale=float(self.scale[k]),
-            gap_bounds=gap_bounds,
+            gap_bounds=_gap_bound_records(
+                m, self.coeff_left[k], self.coeff_right[k], self.delta[k], self.gap_events.get(k)
+            ),
             clamp_events=self.clamp_events(k),
             eps_charges=self.eps_charges,
         )
@@ -473,21 +486,12 @@ def build_lps(
         raise ValueError("candidates must share n_total")
     n_total = float(n_totals.pop()) if n_totals else 1.0
     eps_a = budget.eps_a
-    b, k, nvars = len(protocols), m + 2, 2 * m
+    b, k = len(protocols), m + 2
 
     rows = _candidate_rows(protocols, observations, m)
     coeff_left, coeff_right, delta, events = _gap_bounds(rows, n_total, eps_a)
 
-    objective = np.zeros((b, nvars))
-    objective[:, 0 : m - 1 : 2] = 1.0
-
-    a_eq = np.zeros((b, 2, nvars))
-    a_eq[:, 0, :m] = 1.0
-    a_eq[:, 1, m:] = 1.0
     b_eq = rows[:, -3:-1] / n_total
-
-    _, _, src, sign = _gap_row_layout(m)
-    a_ub = _GapRows(np.concatenate([coeff_left, coeff_right], axis=1)[:, src] * sign, m)
     b_ub = np.repeat(gap_scale * delta / n_total, 2, axis=1)
     # The vacuum rows move the observed vacuum count to the right-hand side.
     anchor = coeff_left[:, :2] * (rows[:, -1:] / n_total)
@@ -496,19 +500,15 @@ def build_lps(
 
     upper = _box_caps(rows[:, : 2 * m], n_total, eps_a)
     return LPBatch(
-        objective=objective,
-        a_eq=a_eq,
         b_eq=b_eq,
-        a_ub=a_ub,
         b_ub=b_ub,
-        lower=np.zeros((b, nvars)),
         upper=upper / n_total,
         scale=np.full(b, n_total),
         coeff_left=coeff_left,
         coeff_right=coeff_right,
         delta=delta,
         gap_events=events,
-        eps_charges=_CHARGES_PER_GAP * k + _CHARGES_PER_BOX * nvars,
+        eps_charges=_CHARGES_PER_GAP * k + _CHARGES_PER_BOX * 2 * m,
     )
 
 

@@ -18,7 +18,7 @@ from .channel import (
 )
 from .constraints import SecurityBudget, build_lp, build_lps
 from .numerics import binary_entropy, plob_bound
-from .simplex import solve_max, solve_max_batch
+from .simplex import solve_max, solve_separable
 
 
 class PhaseErrorInfeasible(RuntimeError):
@@ -76,17 +76,19 @@ def _evaluate(
     observations (None for a candidate whose signal cannot click).
 
     A single candidate's LP is built by build_lp and solved by solve_max.
-    Several candidates' LPs are built together as stacked arrays
-    (build_lps) and solved by solve_max_batch, so a search round shares its
-    assembly and its pivots. A candidate without signal detections or with
-    an infeasible LP gets zero key, with the cause as its status. Without a
+    Several candidates' LPs are built together as per-class arrays
+    (build_lps) and solved exactly from that structure (solve_separable),
+    with no pivots. A candidate without signal detections or with an
+    infeasible LP gets zero key, with the cause as its status. Without a
     channel the key length is None (the phase-error bound alone).
     """
     detected = [counts is not None and counts.n_bit > 0.0 for counts in observations]
     kept = [k for k, ok in enumerate(detected) if ok]
     if len(protocols) == 1:
-        # bench/tracing.py counts LP builds and solver work through
-        # build_lp and solve_max results, so a lone LP goes through both.
+        # bench/tracing.py counts LP builds, optimize.lp_solves and
+        # simplex.pivots only through build_lp and solve_max, so a lone LP
+        # (optimize_point's final analyze included) takes both. This branch
+        # goes once the tracer counts batched solves (ROADMAP item 1).
         lps = [build_lp(protocols[0], observations[0], budget, gap_scale=gap_scale) for _ in kept]
         solutions = [solve_max(lp) for lp in lps]
         built = [(lp.scale, lp.clamp_events) for lp in lps]
@@ -95,7 +97,7 @@ def _evaluate(
             [protocols[k] for k in kept], [observations[k] for k in kept], budget,
             gap_scale=gap_scale,
         )
-        solutions = solve_max_batch(batch)
+        solutions = solve_separable(batch)
         built = [(scale, batch.clamp_events(i)) for i, scale in enumerate(batch.scale.tolist())]
     solved = iter(zip(solutions, built))
     outcomes = []

@@ -1,6 +1,7 @@
-"""Deterministic dense LP solving: a two-phase bounded-variable simplex
-with Bland's anti-cycling rule, for one LP at a time (solve_max) or for many
-LPs pivoted together on stacked tableaux (solve_max_batch)."""
+"""LP solving. solve_max is a deterministic dense two-phase
+bounded-variable simplex with Bland's anti-cycling rule, for any LP.
+solve_separable solves a batch of phase-error LPs exactly from their
+per-class structure, with no pivots."""
 
 from __future__ import annotations
 
@@ -16,10 +17,8 @@ PIVOT_EPS = 1e-10
 OPT_TOL = 1e-9
 FEAS_TOL = 1e-9
 MAX_PIVOTS = 20000
-# Most LPs stacked into one batched tableau, and most unsolved LPs held by
-# solve_max_batch. Stacks of this size are as fast as a whole search round
-# (hundreds of LPs) at once, and keep the memory held small.
-BATCH_CHUNK = 32
+# Record tags of an LP dump; scale, objective, eq and le hold no infinities.
+_RECORDS = ("nvars", "scale", "objective", "eq", "le", "bound")
 
 
 @dataclass
@@ -34,71 +33,6 @@ class LPSolution:
     iterations: int
     row_duals: np.ndarray = field(default_factory=lambda: np.empty(0))
     reduced_costs: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def _real_system(batch: LPBatch, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For members ids of the batch: the constraint matrix [A_eq 0; A_ub I]
-    over the structural and slack variables, the right-hand side b, and the
-    residual b - A x0 at the start point x0 (structural variables at their
-    lower bounds, slacks at zero)."""
-    a_eq, a_ub = batch.a_eq[ids], batch.a_ub[ids]
-    count, m_eq, n = a_eq.shape
-    m_ub = a_ub.shape[1]
-    a_real = np.zeros((count, m_eq + m_ub, n + m_ub))
-    a_real[:, :m_eq, :n] = a_eq
-    a_real[:, m_eq:, :n] = a_ub
-    a_real[:, m_eq:, n:] = np.eye(m_ub)
-    b = np.concatenate([batch.b_eq[ids], batch.b_ub[ids]], axis=1)
-    x_init = np.concatenate([batch.lower[ids], np.zeros((count, m_ub))], axis=1)
-    resid = b - (a_real @ x_init[:, :, None])[:, :, 0]
-    return a_real, b, resid
-
-
-def _start(batch: LPBatch, ids) -> dict:
-    """Initial simplex state of members ids of the batch, which need the
-    same number of artificial columns, stacked along a leading axis: the
-    standard form A x = b, lo <= x <= up over the structural variables,
-    slacks, then artificials, and the initial basis."""
-    a_real, b, resid = _real_system(batch, ids)
-    count, m, n_real = a_real.shape
-    n = batch.num_vars
-    m_eq = batch.a_eq.shape[1]
-    # All real variables start nonbasic at their lower bound. Slack
-    # columns cover inequality rows with nonnegative residual; only
-    # equality rows and sign-violated inequality rows get artificials,
-    # numbered in row order.
-    art = resid < 0.0
-    art[:, :m_eq] = True
-    n_art = int(art[0].sum())
-    member, row = np.nonzero(art)
-    col = n_real + (np.cumsum(art, axis=1) - 1)[member, row]
-    sgn = np.where(resid >= 0.0, 1.0, -1.0)
-
-    a = np.zeros((count, m, n_real + n_art))
-    a[:, :, :n_real] = a_real
-    a[member, row, col] = sgn[member, row]
-    diag = np.where(art, sgn, 1.0)
-    basis = np.where(resid >= 0.0, n - m_eq + np.arange(m), 0)
-    basis[member, row] = col
-    is_basic = np.zeros(a.shape[::2], dtype=bool)
-    np.put_along_axis(is_basic, basis, True, axis=1)
-    pad = np.zeros((count, n_real + n_art - n))
-    return {
-        "n_struct": n,
-        "n_real": n_real,
-        "m": m,
-        "n_art": n_art,
-        "objective": batch.objective[ids],
-        "a": a,
-        "b": b,
-        "lo": np.concatenate([batch.lower[ids], pad], axis=1),
-        "up": np.concatenate([batch.upper[ids], pad + np.inf], axis=1),
-        "basis": basis,
-        "at_upper": np.zeros(a.shape[::2], dtype=bool),
-        "is_basic": is_basic,
-        "tab": a / diag[:, :, None],  # B^{-1} A for the initial diagonal basis
-        "x_basic": np.where(art, np.abs(resid), resid),
-    }
 
 
 class _Tableau:
@@ -287,264 +221,175 @@ def solve_max(lp: LinearProgram) -> LPSolution:
     return _Tableau(lp).solve()
 
 
-# Per-member simplex state that _Stack.run keeps for its caller; the
-# tableau and basic values it leaves stale are recomputed by refresh.
-_RUN_STATE = ("basis", "at_upper", "is_basic", "iterations")
+# Rounding allowance of the vertex tests, relative to the terms compared.
+_VERTEX_TOL = 16 * np.finfo(float).eps
+# Most (member, dual point, class) entries in one array: solve_separable
+# works in chunks of members, so it holds about a megabyte at any size.
+_CHUNK_ENTRIES = 1 << 14
 
 
-class _Stack:
-    """The simplex states of members ids of a batch, which need the
-    same number of artificial columns, stacked along a leading member axis
-    and pivoted together. Member k is the batch's member ids[k].
+def _class_vertices(boxes: np.ndarray, strips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of each class polygon P_j = box ∩ {|a x - b y| <= d}:
+    (B, M, 6, 2) points, padded by repeating one, and a (B, M) mask of the
+    empty polygons. Each vertex is a box corner inside the strip or a
+    crossing of a strip line with a box edge: 12 candidates to test."""
+    x_lo, x_hi, y_lo, y_hi = boxes.transpose(1, 0, 2)[..., None]
+    a, b, d = strips.transpose(1, 0, 2)[..., None]
+    sign = np.array([1.0, -1.0, 1.0, -1.0])  # the two strip lines a x - b y = ±d
+    x_edge = np.concatenate([x_lo, x_lo, x_hi, x_hi], axis=-1)
+    y_edge = np.concatenate([y_lo, y_lo, y_hi, y_hi], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y_cross = (a * x_edge - sign * d) / b  # on the vertical edges
+        x_cross = (b * y_edge + sign * d) / a  # on the horizontal edges
+        x = np.concatenate([x_lo, x_lo, x_hi, x_hi, x_edge, x_cross], axis=-1)
+        y = np.concatenate([y_lo, y_hi, y_lo, y_hi, y_cross, y_edge], axis=-1)
+        inside = (
+            (np.abs(a * x - b * y) <= d + _VERTEX_TOL * (np.abs(a * x) + np.abs(b * y) + d))
+            & (np.abs(x - np.clip(x, x_lo, x_hi)) <= _VERTEX_TOL * x_hi)
+            & (np.abs(y - np.clip(y, y_lo, y_hi)) <= _VERTEX_TOL * y_hi)
+            & (x_lo <= x_hi) & (y_lo <= y_hi)
+        )
+    x, y = np.clip(x, x_lo, x_hi), np.clip(y, y_lo, y_hi)
+    # P_j, a box cut by one strip, has at most 6 vertices: keep those first.
+    order = np.argsort(~inside, axis=-1, kind="stable")[..., :6]
+    kept = np.take_along_axis(inside, order, axis=-1)
+    points = np.take_along_axis(np.stack([x, y], axis=-1), order[..., None], axis=-2)
+    points = np.where(kept[..., None], points, points[..., :1, :])
+    empty = ~kept[..., 0]
+    points[empty] = 0.0
+    return points, empty
 
-    Each member repeats the arithmetic _Tableau does on it alone: the
-    elementwise steps are the same operations, every reduction runs within
-    one member, and the stacked products and solves call the same BLAS and
-    LAPACK routines on operands of the same shape. So each member takes the
-    same pivots and ends with the same numbers as under solve_max.
+
+def _dual_points(strips: np.ndarray) -> np.ndarray:
+    """Points (lambda, kappa) where the dual function can have its minimum,
+    (B, (2 + M/2)^2, 2). Class j's support term breaks only on lines through
+    (c_j, 0) along its polygon's edge normals: the axes and the strip normal
+    (a_j, -b_j). The crossings of the lines through (0, 0) (odd classes)
+    with those through (1, 0) (even classes), the centres included, are
+    every vertex of the arrangement. Parallel pairs give (0, 0)."""
+    count = len(strips)
+    normals = np.stack([strips[:, 0], -strips[:, 1]], axis=-1)
+    axes = np.broadcast_to(np.eye(2), (count, 2, 2))
+    u = np.concatenate([axes, normals[:, 1::2]], axis=1)[:, :, None, :]
+    w = np.concatenate([axes, normals[:, 0::2]], axis=1)[:, None, :, :]
+    # t u = (1, 0) + s w for the lines t u through (0, 0) and (1, 0) + s w.
+    det = u[..., 1] * w[..., 0] - u[..., 0] * w[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(det != 0.0, -w[..., 1] / det, 0.0)
+    return (t[..., None] * u).reshape(count, -1, 2)
+
+
+def _support(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Support function of each class polygon, max over its vertices of
+    direction . vertex, for points (C, M, V, 2) and directions broadcasting
+    to (C, K, M, 2): (C, K, M)."""
+    best = None
+    for v in range(points.shape[2]):
+        value = directions[..., 0] * points[:, None, :, v, 0]
+        value += directions[..., 1] * points[:, None, :, v, 1]
+        best = value if best is None else np.maximum(best, value, out=best)
+    return best
+
+
+def solve_separable(batch: LPBatch) -> list[LPSolution]:
+    """Maximize each member of a phase-error batch exactly, from its
+    per-class structure.
+
+    The LP is max sum_{j even} x_j subject to sum_j x_j = X, sum_j y_j = Y
+    (b_eq) and (x_j, y_j) in the class polygon P_j (LPBatch.boxes and
+    strips). Dualizing the two equalities with multipliers (lambda, kappa)
+    gives
+
+        n_ph = min  lambda X + kappa Y + sum_j h_j(c_j - lambda, -kappa)
+
+    where h_j is the support function of P_j and c_j is 1 for even j and 0
+    for odd j. This is piecewise linear, so its minimum lies at one of
+    _dual_points, and each h_j is a maximum over P_j's vertices. The LP is
+    infeasible when some P_j is empty or when (X, Y) lies outside the
+    Minkowski sum of the P_j, tested on its edge normals (the axes and the
+    strip normals, both ways) with FEAS_TOL relative slack.
+
+    Values are in the members' own units. row_duals holds the minimizing
+    (lambda, kappa); there are no pivots, so iterations is 0.
     """
+    m = batch.n_phases
+    even = (np.arange(m) % 2 == 0).astype(float)
+    chunk = max(1, _CHUNK_ENTRIES // ((2 + m // 2) ** 2 * m))
+    all_boxes, all_strips = batch.boxes(), batch.strips()
+    results = []
+    for start in range(0, len(batch), chunk):
+        ids = slice(start, start + chunk)
+        strips, targets = all_strips[ids], batch.b_eq[ids]
+        points, empty = _class_vertices(all_boxes[ids], strips)
 
-    def __init__(self, batch: LPBatch, ids: np.ndarray):
-        vars(self).update(_start(batch, ids))
-        self.ids = ids
-        self.iterations = np.zeros(len(ids), dtype=np.int64)
+        normals = np.stack([strips[:, 0], -strips[:, 1]], axis=-1)
+        axes = np.broadcast_to(np.concatenate([np.eye(2), -np.eye(2)]), (len(points), 4, 2))
+        normals = np.concatenate([axes, normals, -normals], axis=1)
+        reach = _support(points, normals[:, :, None, :]).sum(axis=-1)
+        demand = (normals @ targets[..., None])[..., 0]
+        slack = FEAS_TOL * ((np.abs(normals) @ np.abs(targets)[..., None])[..., 0] + np.abs(reach))
+        infeasible = empty.any(axis=1) | (demand > reach + slack).any(axis=1)
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the members where mask is False."""
-        for name, value in list(vars(self).items()):
-            if isinstance(value, np.ndarray):
-                setattr(self, name, value[mask])
-
-    def solution_vectors(self) -> np.ndarray:
-        x = np.where(self.at_upper, self.up, self.lo)
-        np.put_along_axis(x, self.basis, self.x_basic, axis=1)
-        return x
-
-    def refresh(self) -> np.ndarray:
-        """_Tableau.refresh for each member; returns the basis matrices."""
-        bmat = np.take_along_axis(self.a, self.basis[:, None, :], axis=2)
-        self.tab = np.linalg.solve(bmat, self.a)
-        vals = np.where(self.at_upper, self.up, self.lo)
-        np.put_along_axis(vals, self.basis, 0.0, axis=1)
-        rhs = self.b - (self.a @ vals[:, :, None])[:, :, 0]
-        self.x_basic = np.linalg.solve(bmat, rhs[:, :, None])[:, :, 0]
-        return bmat
-
-    def run(self, c: np.ndarray) -> np.ndarray:
-        """_Tableau.run for each member k, maximizing c[k] . x. A member
-        leaves the working set as soon as it is optimal or unbounded, so
-        later iterations cost only what the others need. Leaves tab and
-        x_basic for refresh to recompute. Returns the unbounded mask."""
-        scale = np.max(np.abs(c), axis=1)
-        tol = OPT_TOL * np.where(scale > 1.0, scale, 1.0)
-        unbounded = np.zeros(len(self.basis), dtype=bool)
-        idx = np.arange(len(self.basis))
-        w = {name: getattr(self, name) for name in _RUN_STATE}
-        w.update(tab=self.tab, x_basic=self.x_basic, lo=self.lo, up=self.up, c=c, tol=tol)
-        self.tab = self.x_basic = None
-        while idx.size:
-            if np.any(w["iterations"] >= MAX_PIVOTS):
-                raise RuntimeError("simplex exceeded pivot limit")
-            optimal = self._price(w)
-            finished = optimal | ~np.isfinite(w["theta"])
-            if finished.any():
-                unbounded[idx[finished & ~optimal]] = True
-                for name in _RUN_STATE:
-                    getattr(self, name)[idx[finished]] = w[name][finished]
-                keep = ~finished
-                idx = idx[keep]
-                w = {k: v[keep] for k, v in w.items()}
-            if idx.size:
-                self._pivot(w)
-        return unbounded
-
-    def solve(self, out: list) -> None:
-        """solve_max on every member; writes member k's result to
-        out[ids[k]]."""
-        n_all = self.a.shape[2]
-        if self.n_art:
-            c_phase1 = np.zeros((len(self.ids), n_all))
-            c_phase1[:, self.n_real :] = -1.0
-            self.run(c_phase1)
-            self.refresh()
-            x = self.solution_vectors()
-            feasible = np.ones(len(self.ids), dtype=bool)
-            for k, i in enumerate(self.ids):
-                art_sum = float(np.sum(x[k, self.n_real :]))
-                if art_sum > FEAS_TOL * max(1.0, float(np.max(np.abs(self.b[k]), initial=0.0))):
-                    out[i] = LPSolution("infeasible", np.nan, np.empty(0), int(self.iterations[k]))
-                    feasible[k] = False
-            self.keep(feasible)
-
-        # Pin the artificials at zero and optimize the real objective.
-        self.up[:, self.n_real :] = 0.0
-        c_phase2 = np.zeros((len(self.ids), n_all))
-        c_phase2[:, : self.n_struct] = self.objective
-        unbounded = self.run(c_phase2)
-        for k in np.flatnonzero(unbounded):
-            out[self.ids[k]] = LPSolution("unbounded", np.inf, np.empty(0), int(self.iterations[k]))
-        self.keep(~unbounded)
-        if not len(self.ids):
-            return
-        bmat = self.refresh()
-        x = self.solution_vectors()
-        c_basic = np.take_along_axis(c_phase2[~unbounded], self.basis, axis=1)
-        y = np.linalg.solve(np.swapaxes(bmat, 1, 2), c_basic[:, :, None])[:, :, 0]
-        y_a = (y[:, None, :] @ self.a[:, :, : self.n_struct])[:, 0, :]
-        for k, i in enumerate(self.ids):
-            x_struct = x[k, : self.n_struct].copy()
-            out[i] = LPSolution(
-                status="optimal",
-                objective_value=float(self.objective[k] @ x_struct),
-                variable_values=x_struct,
-                iterations=int(self.iterations[k]),
-                row_duals=y[k],
-                reduced_costs=self.objective[k] - y_a[k],
-            )
-
-    def _price(self, w: dict) -> np.ndarray:
-        """Entering column, step direction and ratio test of each working
-        member, stored into w. Returns the mask of optimal members."""
-        tab, basis, at_upper, c = w["tab"], w["basis"], w["at_upper"], w["c"]
-        rows = np.arange(len(basis))
-        per_row = rows[:, None]
-        d = c - (c[per_row, basis][:, None, :] @ tab)[:, 0, :]
-        tol = w["tol"][:, None]
-        eligible = ~w["is_basic"] & ((~at_upper & (d > tol)) | (at_upper & (d < -tol)))
-        j = np.argmax(eligible, axis=1)  # lowest eligible index (Bland)
-        t = np.where(at_upper[rows, j], -1.0, 1.0)
-        step = -t[:, None] * tab[rows, :, j]  # d(x_basic)/d(theta)
-
-        lo, up, x_basic = w["lo"], w["up"], w["x_basic"]
-        lo_b = lo[per_row, basis]
-        up_b = up[per_row, basis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                step < -PIVOT_EPS,
-                (x_basic - lo_b) / -step,
-                np.where(step > PIVOT_EPS, (up_b - x_basic) / step, np.inf),
-            )
-            ratio = np.maximum(ratio, 0.0)  # degenerate negatives are zero steps
-            theta_rows = ratio.min(axis=1, initial=np.inf)
-            theta_bound = up[rows, j] - lo[rows, j]
-        # min(theta_rows, theta_bound) with Python's tie rule.
-        w["theta"] = np.where(theta_bound < theta_rows, theta_bound, theta_rows)
-        w["flip"] = theta_bound <= theta_rows
-        w["j"], w["t"], w["step"], w["ratio"] = j, t, step, ratio
-        return ~eligible.any(axis=1)
-
-    def _pivot(self, w: dict) -> None:
-        """Apply the step _price chose: a bound flip or a basis change."""
-        theta, step, j = w["theta"], w["step"], w["j"]
-        w["iterations"] += 1
-        w["x_basic"] += theta[:, None] * step
-        flips = np.flatnonzero(w["flip"])
-        # Bound flip: j swaps ends without entering the basis.
-        w["at_upper"][flips, j[flips]] = ~w["at_upper"][flips, j[flips]]
-        p = np.flatnonzero(~w["flip"])
-        if not p.size:
-            return
-        theta, step, j = theta[p], step[p], j[p]
-        basis, tab = w["basis"], w["tab"]
-        tie = w["ratio"][p] <= (theta + 1e-12 * (1.0 + theta))[:, None]
-        r = np.argmin(np.where(tie, basis[p], np.iinfo(np.intp).max), axis=1)  # Bland tie-break
-        leaving = basis[p, r]
-        enter_val = np.where(w["t"][p] > 0, w["lo"][p, j] + theta, w["up"][p, j] - theta)
-        basis[p, r] = j
-        w["is_basic"][p, leaving] = False
-        w["is_basic"][p, j] = True
-        w["at_upper"][p, leaving] = step[np.arange(p.size), r] > 0.0  # hit its upper bound
-        w["at_upper"][p, j] = False
-        w["x_basic"][p, r] = enter_val
-
-        row = tab[p, r, :] / tab[p, r, j][:, None]
-        tab[p, r, :] = row
-        col = tab[p, :, j]
-        col[np.arange(p.size), r] = 0.0
-        update = col[:, :, None] * row[:, None, :]
-        if p.size == len(tab):
-            tab -= update
-        else:
-            tab[p] -= update
-
-
-def solve_max_batch(batch: LPBatch) -> list[LPSolution]:
-    """solve_max on each member of the batch, with the pivots of many
-    members done together.
-
-    Members that need the same number of artificial columns are stacked,
-    up to BATCH_CHUNK at a time, and pivoted as one; a member leaves the
-    stack when it finishes. Result k equals solve_max(batch.member(k)) bit
-    for bit: status, pivot count, values and duals. The per-pivot overhead
-    is shared by the stack, so this pays off for many LPs; a member alone
-    in its group is solved on its own tableau as solve_max does, which
-    costs less than a stack of one. The stacks are set up from the batch's
-    arrays one at a time, so at most BATCH_CHUNK tableaux are held.
-    """
-    batch.validate()
-    if not np.all(np.isfinite(batch.lower)):
-        raise ValueError("lower bounds must be finite")
-    results: list[LPSolution | None] = [None] * len(batch)
-    m_eq = batch.a_eq.shape[1]
-    n_art = np.zeros(len(batch), dtype=np.intp)
-    for start in range(0, len(batch), BATCH_CHUNK):
-        ids = np.arange(start, min(start + BATCH_CHUNK, len(batch)))
-        _, _, resid = _real_system(batch, ids)
-        n_art[ids] = m_eq + np.count_nonzero(resid[:, m_eq:] < 0.0, axis=1)
-    for count in np.unique(n_art):
-        group = np.flatnonzero(n_art == count)
-        for start in range(0, len(group), BATCH_CHUNK):
-            ids = group[start : start + BATCH_CHUNK]
-            if len(ids) == 1:
-                results[ids[0]] = _Tableau(batch.member(ids[0])).solve()
-            else:
-                _Stack(batch, ids).solve(results)
+        duals = _dual_points(strips)
+        lam, kappa = duals[..., :1], duals[..., 1:]
+        directions = np.stack(np.broadcast_arrays(even - lam, -kappa), axis=-1)
+        value = (lam * targets[:, None, :1] + kappa * targets[:, None, 1:])[..., 0]
+        value += _support(points, directions).sum(axis=-1)
+        # Far from the centres the terms of the dual function cancel, and
+        # their rounding can exceed the gaps between the points' values; so
+        # pick the point whose value plus its rounding bound is lowest.
+        extent = np.abs(points).max(axis=2)  # max |x|, max |y| over each P_j
+        magnitude = (np.abs(duals) * (np.abs(targets) + extent.sum(axis=1))[:, None]).sum(-1)
+        magnitude += (extent[..., 0] @ even)[:, None]
+        best = (value + (m + 4) * np.finfo(float).eps * magnitude).argmin(axis=1)
+        results += [
+            LPSolution("infeasible", np.nan, np.empty(0), 0) if infeasible[k]
+            else LPSolution("optimal", float(value[k, i]), np.empty(0), 0, duals[k, i].copy())
+            for k, i in enumerate(best.tolist())
+        ]
     return results
 
 
 def load_lp(path) -> LinearProgram:
-    """Parse the tab-separated dump emitted by the constraint builder."""
+    """Parse the tab-separated dump emitted by the constraint builder.
+    Raises ValueError, naming the file, on a missing, repeated or unknown
+    record, a record of the wrong width, a value that is not a number, and
+    a value that is not finite (+inf is legal as an upper bound)."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != "tfqkd-lp 1":
         raise ValueError(f"{path}: not a tfqkd LP dump")
-    nvars = None
-    scale = 1.0
-    objective = None
-    eqs: list[list[float]] = []
-    ubs: list[list[float]] = []
-    bounds: list[tuple[float, float]] = []
+    records: dict[str, list[list[float]]] = {tag: [] for tag in _RECORDS}
     for ln in lines[1:]:
         tag, *vals = ln.split("\t")
-        if tag == "nvars":
-            nvars = int(vals[0])
-        elif tag == "scale":
-            scale = float(vals[0])
-        elif tag == "objective":
-            objective = [float(v) for v in vals]
-        elif tag == "eq":
-            eqs.append([float(v) for v in vals])
-        elif tag == "le":
-            ubs.append([float(v) for v in vals])
-        elif tag == "bound":
-            bounds.append((float(vals[0]), float(vals[1])))
-        else:
+        if tag not in records:
             raise ValueError(f"{path}: unknown record {tag!r}")
-    if nvars is None or objective is None or len(objective) != nvars:
-        raise ValueError(f"{path}: malformed dump")
-    if len(bounds) != nvars:
-        raise ValueError(f"{path}: expected {nvars} bound records")
-    eq_arr = np.array(eqs) if eqs else np.zeros((0, nvars + 1))
-    ub_arr = np.array(ubs) if ubs else np.zeros((0, nvars + 1))
+        try:
+            records[tag].append(list(map(float, vals)))
+        except ValueError:
+            raise ValueError(f"{path}: {tag} record holds a value that is not a number") from None
+    if len(records["nvars"]) != 1 or len(records["objective"]) != 1 or len(records["scale"]) > 1:
+        raise ValueError(f"{path}: need one nvars and objective record, at most one scale")
+    n = len(records["bound"])
+    if records["nvars"][0] != [n] or n < 1:
+        raise ValueError(f"{path}: nvars {records['nvars'][0]} != {n} bound records")
+    widths = {"nvars": 1, "scale": 1, "objective": n, "eq": n + 1, "le": n + 1, "bound": 2}
+    for tag, rows in records.items():
+        if rows and {len(row) for row in rows} != {widths[tag]}:
+            raise ValueError(f"{path}: {tag} record not {widths[tag]} values wide")
+    arrays = {tag: np.array(records[tag]).reshape(-1, widths[tag]) for tag in _RECORDS[2:]}
+    lower, upper = arrays["bound"].T.copy()
+    scale = records["scale"][0][0] if records["scale"] else 1.0
+    finite = np.concatenate([arrays[tag].ravel() for tag in _RECORDS[2:5]] + [lower, [scale]])
+    if not (np.isfinite(finite).all() and (upper > -np.inf).all()):
+        raise ValueError(f"{path}: non-finite value (only an upper bound may be +inf)")
+    eqs, ubs = arrays["eq"], arrays["le"]
     lp = LinearProgram(
-        objective=np.array(objective),
-        a_eq=eq_arr[:, :nvars],
-        b_eq=eq_arr[:, nvars],
-        a_ub=ub_arr[:, :nvars],
-        b_ub=ub_arr[:, nvars],
-        lower=np.array([b[0] for b in bounds]),
-        upper=np.array([b[1] for b in bounds]),
+        arrays["objective"][0], eqs[:, :n], eqs[:, n], ubs[:, :n], ubs[:, n], lower, upper,
         scale=scale,
     )
-    lp.validate()
+    try:
+        lp.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return lp

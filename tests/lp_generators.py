@@ -1,11 +1,13 @@
 """Shared random-LP generators and the vertex-enumeration oracle for the
 solver comparison tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 
 from tfqkd import ChannelParams, ProtocolParams, build_lp, expected_observations, make_budget
+from tfqkd.channel import NoDetections, sample_observations
 from tfqkd.constraints import LinearProgram, LPBatch
 from tfqkd.optimize import _geom_grid, _lin_grid
 from tfqkd.simplex import LPSolution
@@ -34,23 +36,76 @@ def random_lp(rng) -> LinearProgram:
     )
 
 
-def paper_shaped_lp(rng) -> LinearProgram:
-    """Rescaled two-phase-class phase-error instance at a randomized
-    operating point (brute-forceable: 4 variables)."""
+def paper_shaped_case(rng):
+    """Protocol, observations and budget of a two-phase-class phase-error
+    instance at a randomized operating point (brute-forceable: 4
+    variables)."""
     mu, nu = sorted(rng.uniform(0.01, 0.4, size=2))
     p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
     n_total = int(10 ** rng.uniform(9, 13))
     proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 2, n_total)
     budget = make_budget(n_phases=2, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20)
     counts = expected_observations(proto, TABLE1, float(rng.uniform(10, 250)))
-    return build_lp(proto, counts, budget)
+    return proto, counts, budget
 
 
-def stack_lps(lps) -> LPBatch:
-    """LPs of one shape as one batch (LP arrays and scales only)."""
-    names = ("objective", "a_eq", "b_eq", "a_ub", "b_ub", "lower", "upper")
-    arrays = {name: np.stack([getattr(lp, name) for lp in lps]) for name in names}
-    return LPBatch(**arrays, scale=np.array([lp.scale for lp in lps]))
+def paper_shaped_lp(rng) -> LinearProgram:
+    """The rescaled phase-error LP of paper_shaped_case."""
+    return build_lp(*paper_shaped_case(rng))
+
+
+def concat_batches(batches) -> LPBatch:
+    """Batches of one M as one batch; members may differ in n_total."""
+    names = ("b_eq", "b_ub", "upper", "scale", "coeff_left", "coeff_right", "delta")
+    return LPBatch(**{name: np.concatenate([getattr(b, name) for b in batches]) for name in names})
+
+
+def random_round(rng, n_phases, n_total, size):
+    """Candidates and observations of a random round at one n_total:
+    intensities log-uniform in [1e-3, 0.5] (one in ten with nu = mu),
+    probabilities from a Dirichlet draw, 0-450 km, expected or sampled
+    counts, and one in thirty with tripled decoy counts, which the gap
+    bounds rule out."""
+    candidates, observations = [], []
+    while len(candidates) < size:
+        mu, nu = np.exp(rng.uniform(np.log(1e-3), np.log(0.5), size=2))
+        if rng.random() < 0.1:
+            nu = mu
+        p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
+        proto = ProtocolParams.make(mu, nu, p_mu, p_nu, n_phases, n_total)
+        l_km = float(rng.uniform(0, 450))
+        try:
+            if rng.random() < 0.5:
+                counts = expected_observations(proto, TABLE1, l_km)
+            else:
+                counts = sample_observations(proto, TABLE1, l_km, int(rng.integers(1000)))
+        except NoDetections:
+            continue
+        if counts.n_bit <= 0.0:
+            continue
+        if rng.random() < 1 / 30:
+            counts = dataclasses.replace(counts, n_2nu=3.0 * counts.n_2nu + 1.0)
+        candidates.append(proto)
+        observations.append(counts)
+    return candidates, observations
+
+
+def sampled_low_n_round(channel, n_total):
+    """Candidates and sampled observations at 0-60 km and a low n_total,
+    where every LP clamps some gap bound."""
+    rng = np.random.default_rng(int(n_total))
+    candidates, observations = [], []
+    for seed in range(60):
+        mu, nu = rng.uniform(0.01, 0.4, size=2)
+        p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
+        proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(n_total))
+        try:
+            counts = sample_observations(proto, channel, float(rng.uniform(0, 60)), seed)
+        except NoDetections:
+            continue
+        candidates.append(proto)
+        observations.append(counts)
+    return candidates, observations
 
 
 def first_search_round(channel, n_phases, n_total, l_km):

@@ -16,12 +16,11 @@ from tfqkd import (
     make_budget,
     variable_upper_bound,
 )
-from tfqkd.channel import NoDetections, sample_observations
 from tfqkd.constraints import budget_multiplier, build_lps, dump_lp
 from tfqkd.numerics import folded_distinguishability, folded_poisson, vacuum_distinguishability
 from tfqkd.simplex import load_lp
 
-from lp_generators import brute_force_solve, first_search_round
+from lp_generators import brute_force_solve, first_search_round, sampled_low_n_round
 
 GOLDEN = Path(__file__).parent / "golden" / "lp_m8_table1_L100.txt"
 
@@ -355,22 +354,13 @@ class TestBuildLps:
         batch = assert_members_are_lone_builds(
             *first_search_round(channel, 16, 1e14, 250.0), budget
         )
-        assert batch.a_ub.shape == (375, 36, 32)
+        assert batch.member(0).a_ub.shape == (36, 32)
+        assert batch.boxes().shape == (375, 4, 16)
+        assert batch.strips().shape == (375, 3, 16)
 
     @pytest.mark.parametrize("n_total", [1e6, 1e8])
     def test_sampled_low_n_members_clamp(self, channel, budget_m8, n_total):
-        rng = np.random.default_rng(int(n_total))
-        candidates, observations = [], []
-        for seed in range(60):
-            mu, nu = rng.uniform(0.01, 0.4, size=2)
-            p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
-            proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(n_total))
-            try:
-                counts = sample_observations(proto, channel, float(rng.uniform(0, 60)), seed)
-            except NoDetections:
-                continue
-            candidates.append(proto)
-            observations.append(counts)
+        candidates, observations = sampled_low_n_round(channel, n_total)
         batch = assert_members_are_lone_builds(candidates, observations, budget_m8)
         events = [batch.clamp_events(k) for k in range(len(batch))]
         assert all(events) and len(set(events)) > 1
@@ -386,7 +376,42 @@ class TestBuildLps:
     def test_empty_round(self, budget_m8):
         batch = build_lps([], [], budget_m8)
         assert len(batch) == 0
-        assert batch.a_ub.shape == (0, 20, 16)
+        assert batch.b_ub.shape == (0, 20)
+        assert batch.boxes().shape == (0, 4, 8)
+
+    def test_class_arrays_are_the_dense_rows(self, channel, budget_m8, protocol_m8):
+        # boxes and strips restate each member's box and gap rows per class:
+        # the decoy rows are the strip, the vacuum rows cut class 0's box,
+        # and a zero vacuum coefficient (p_o = 0) leaves the box whole.
+        candidates, observations = first_search_round(channel, 8, 1e12, 240.0)
+        counts = expected_observations(protocol_m8, channel, 120.0)
+        bad = ObservedCounts(counts.n_2mu, counts.n_2nu, 1e11, counts.n_2mu, counts.e_bit)
+        no_vacuum = ProtocolParams.make(0.05, 0.1, 0.75, 0.25, 8, int(1e12))
+        candidates += [protocol_m8, no_vacuum]
+        observations += [bad, expected_observations(no_vacuum, channel, 120.0)]
+        batch = build_lps(candidates, observations, budget_m8)
+        boxes, strips = batch.boxes(), batch.strips()
+        for k in range(len(batch)):
+            lp = batch.member(k)
+            x_lo, x_hi, y_lo, y_hi = boxes[k]
+            np.testing.assert_array_equal(x_hi[1:], lp.upper[1:8])
+            np.testing.assert_array_equal(y_hi[1:], lp.upper[9:])
+            assert not np.any(x_lo[1:]) and not np.any(y_lo[1:])
+            for var, lo, hi in ((0, x_lo[0], x_hi[0]), (8, y_lo[0], y_hi[0])):
+                row = 0 if var == 0 else 2
+                coeff = lp.a_ub[row + 1, var]
+                assert lp.a_ub[row, var] == -coeff
+                if coeff > 0.0:
+                    assert lo == max(0.0, -lp.b_ub[row] / coeff)
+                    assert hi == min(lp.upper[var], lp.b_ub[row + 1] / coeff)
+                else:
+                    assert (lo, hi) == (0.0, lp.upper[var])
+            for j in range(8):
+                a, b, d = strips[k, :, j]
+                assert (lp.a_ub[4 + 2 * j, j], lp.a_ub[4 + 2 * j, 8 + j]) == (a, -b)
+                assert lp.b_ub[4 + 2 * j] == lp.b_ub[5 + 2 * j] == d
+        assert lp.a_ub[1, 0] == 0.0 and x_hi[0] == lp.upper[0]  # p_o = 0: no vacuum cut
+        assert boxes[-2, 0, 0] > boxes[-2, 1, 0]  # the absurd vacuum count empties class 0
 
     def test_rejects_mixed_rounds(self, channel, budget_m8, protocol_m8):
         counts = expected_observations(protocol_m8, channel, 100.0)

@@ -198,27 +198,35 @@ class TestAnalyze:
         assert a == b
 
     def test_batch_key_lengths_match_analyze(self, channel, budget_m8, protocol_m8):
+        # A batch is solved from its per-class structure and a lone LP by
+        # the simplex, so values agree to rounding, and a batch member
+        # takes no pivots.
         candidates, observations, expected = [], [], []
         for l_km, p_mu in ((40.0, 0.6), (120.0, 0.6), (120.0, 0.5), (600.0, 0.6)):
             proto = ProtocolParams.make(0.05, 0.1, p_mu, 0.3, 8, int(1e12))
             candidates.append(proto)
             observations.append(expected_observations(proto, channel, l_km))
             report = analyze(proto, channel, l_km, budget_m8)
-            expected.append(tuple(getattr(report, name) for name in _Outcome._fields))
+            diagnostics = dataclasses.replace(report.diagnostics, lp_iterations=0)
+            expected.append(
+                tuple(getattr(report, name) for name in _Outcome._fields[:-1]) + (diagnostics,)
+            )
         bad = dataclasses.replace(observations[1], n_2nu=3.0 * observations[1].n_2nu)
         candidates.append(candidates[1])
         observations.append(bad)
-        # infeasible phase-error LP, with its clamp events and pivots
+        # infeasible phase-error LP, with its clamp events
         lp = build_lp(candidates[1], bad, budget_m8)
-        sol = solve_max(lp)
-        assert sol.status == "infeasible" and sol.iterations > 0
-        diagnostics = Diagnostics("infeasible", lp.clamp_events, sol.iterations)
+        assert solve_max(lp).status == "infeasible"
+        diagnostics = Diagnostics("infeasible", lp.clamp_events, 0)
         expected.append((bad.n_bit, bad.e_bit, 0.0, 0.0, 0.0, diagnostics))
         candidates.append(candidates[0])
         observations.append(None)  # no detections
         expected.append((0.0, 0.0, 0.0, 0.0, 0.0, Diagnostics("no_detections")))
         got = _evaluate(candidates, observations, channel, budget_m8)
-        assert got == expected
+        assert len(got) == len(expected)
+        for outcome, want in zip(got, expected):
+            assert outcome.diagnostics == want[-1]
+            assert outcome[:-1] == pytest.approx(want[:-1], rel=1e-9, abs=0.0)
         assert got[0].key_length > 0.0
 
     def test_rejects_unknown_mode(self, channel, budget_m8, protocol_m8):

@@ -1,18 +1,23 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from tfqkd import ProtocolParams, build_lp, expected_observations, simplex
+from tfqkd import ProtocolParams, build_lp, expected_observations, make_budget
+from tfqkd.channel import sample_observations
 from tfqkd.constraints import LinearProgram, build_lps
-from tfqkd.simplex import load_lp, solve_max, solve_max_batch
+from tfqkd.simplex import load_lp, solve_max, solve_separable
 
 from lp_generators import (
     brute_force_solve,
+    concat_batches,
     first_search_round,
+    paper_shaped_case,
     paper_shaped_lp,
     random_lp,
-    stack_lps,
+    random_round,
+    sampled_low_n_round,
 )
 
 
@@ -180,111 +185,143 @@ class TestSolverContracts:
         assert sol.objective_value * lp.scale <= counts.n_2mu * (1.0 + 1e-9)
 
 
-def assert_same_solution(got, want):
-    assert got.status == want.status
-    assert got.iterations == want.iterations
-    if want.status == "infeasible":
-        assert np.isnan(got.objective_value)
-    else:
-        assert got.objective_value == want.objective_value
-    np.testing.assert_array_equal(got.variable_values, want.variable_values)
-    np.testing.assert_array_equal(got.row_duals, want.row_duals)
-    np.testing.assert_array_equal(got.reduced_costs, want.reduced_costs)
+def highs(lp, tight=False):
+    """Status and optimum of HiGHS on the LP rescaled by n_2mu (its first
+    equality right-hand side), in the LP's own units. Rescaled, the data
+    sit near unit size, where HiGHS's absolute tolerances fit; tight asks
+    for 1e-10 instead of its default 1e-7."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    s = 1.0 / lp.b_eq[0]
+    tolerances = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    ref = scipy_opt.linprog(
+        -lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub * s, A_eq=lp.a_eq, b_eq=lp.b_eq * s,
+        bounds=list(zip(lp.lower * s, lp.upper * s)), method="highs",
+        options=tolerances if tight else None,
+    )
+    assert ref.status in (0, 2), ref.message
+    return ("optimal", -ref.fun / s) if ref.status == 0 else ("infeasible", np.nan)
 
 
-def assert_same_solutions(lps):
-    """solve_max_batch, on the LPs stacked by shape, must reproduce
-    solve_max exactly on every LP."""
-    groups = {}
-    for i, lp in enumerate(lps):
-        groups.setdefault((lp.num_vars, len(lp.b_eq), len(lp.b_ub)), []).append(i)
-    batched = [None] * len(lps)
-    for ids in groups.values():
-        for i, sol in zip(ids, solve_max_batch(stack_lps([lps[i] for i in ids]))):
-            batched[i] = sol
-    for lp, got in zip(lps, batched):
-        assert_same_solution(got, solve_max(lp))
-    return batched
+def assert_matches_solve_max(batch, rel=1e-9):
+    """solve_separable on the batch must give solve_max's status on each
+    member and its value within rel. Where they disagree, tight HiGHS
+    decides, and it must side with solve_separable. Returns the
+    statuses and the number of disagreements."""
+    statuses, disputes = [], 0
+    for k, got in enumerate(solve_separable(batch)):
+        lp = batch.member(k)
+        want = solve_max(lp)
+        assert got.iterations == 0
+        statuses.append(got.status)
+        if got.status == want.status and (
+            got.status == "infeasible"
+            or abs(got.objective_value - want.objective_value) <= rel * abs(want.objective_value)
+        ):
+            continue
+        disputes += 1
+        status, value = highs(lp, tight=True)
+        assert got.status == status, (k, got.status, want.status)
+        if status == "optimal":
+            assert got.objective_value == pytest.approx(value, rel=rel, abs=0.0), k
+    return statuses, disputes
 
 
 class TestBatchedSolver:
+    """solve_separable, which solves a batch of phase-error LPs from their
+    per-class structure, against solve_max on each member."""
+
     def test_generator_instances_by_shape(self):
-        # The 1050 instances of acceptance criterion 4, in its draw order,
-        # stacked by shape.
+        # The 50 paper-shaped (M = 2) instances of acceptance criterion 4, in
+        # its draw order, as one batch.
         rng = np.random.default_rng(20260810)
-        lps = [random_lp(rng) for _ in range(1000)] + [paper_shaped_lp(rng) for _ in range(50)]
-        statuses = {sol.status for sol in assert_same_solutions(lps)}
-        assert statuses == {"optimal", "infeasible"}
+        for _ in range(1000):
+            random_lp(rng)
+        batch = concat_batches(
+            [build_lps([proto], [counts], budget) for proto, counts, budget in
+             (paper_shaped_case(rng) for _ in range(50))]
+        )
+        statuses, disputes = assert_matches_solve_max(batch)
+        assert statuses == ["optimal"] * 50 and disputes == 0
 
-    def test_grid_round_with_infeasible_member(self, channel, budget_m8):
-        # The first search round at 240 km, N = 1e14: its LPs need 2, 3 or
-        # 4 artificial columns.
-        lps = [
-            build_lp(proto, counts, budget_m8)
-            for proto, counts in zip(*first_search_round(channel, 8, 1e14, 240.0))
+    @pytest.mark.parametrize("n_phases, n_total, l_km", [
+        (8, 1e12, 240.0), (8, 1e14, 240.0), (16, 1e14, 250.0), (8, 1e12, 60.0), (8, 1e12, 400.0),
+    ])
+    def test_search_rounds(self, channel, n_phases, n_total, l_km):
+        # First search rounds of scripts/rate_distance.py, the TestBuildLps
+        # rounds among them.
+        budget = make_budget(n_phases=n_phases, eps_cor=1e-10, eps_pa=1.6566e-10,
+                             eps_total_pe=4e-20)
+        batch = build_lps(*first_search_round(channel, n_phases, n_total, l_km), budget)
+        statuses, disputes = assert_matches_solve_max(batch)
+        assert statuses == ["optimal"] * 375 and disputes == 0
+
+    @pytest.mark.parametrize("n_total", [1e6, 1e8])
+    def test_sampled_low_n_rounds(self, channel, budget_m8, n_total):
+        batch = build_lps(*sampled_low_n_round(channel, n_total), budget_m8)
+        assert len(batch) > 50
+        assert assert_matches_solve_max(batch)[1] == 0
+
+    def test_grid_round_with_infeasible_member(self, channel, budget_m8, protocol_m8):
+        # The first search round at 240 km, N = 1e12, plus members whose
+        # decoy or vacuum counts contradict the gap bounds, and one with
+        # p_o = 0, whose vacuum rows have a zero coefficient.
+        candidates, observations = first_search_round(channel, 8, 1e12, 240.0)
+        counts = expected_observations(protocol_m8, channel, 120.0)
+        no_vacuum = ProtocolParams.make(0.05, 0.1, 0.75, 0.25, 8, int(1e12))
+        candidates[17:17] = [protocol_m8, protocol_m8, no_vacuum]
+        observations[17:17] = [
+            dataclasses.replace(counts, n_2nu=3.0 * counts.n_2nu),
+            dataclasses.replace(counts, n_0=1e11),
+            expected_observations(no_vacuum, channel, 120.0),
         ]
-        # Three times the decoy clicks contradict the gap bounds.
-        proto = ProtocolParams.make(0.05, 0.1, 0.6, 0.3, 8, int(1e12))
-        counts = expected_observations(proto, channel, 120.0)
-        bad = dataclasses.replace(counts, n_2nu=3.0 * counts.n_2nu)
-        lps.insert(17, build_lp(proto, bad, budget_m8))
-        statuses = [sol.status for sol in assert_same_solutions(lps)]
-        assert len(lps) == 376
-        assert statuses.count("infeasible") == 1 and statuses[17] == "infeasible"
+        batch = build_lps(candidates, observations, budget_m8)
+        statuses, disputes = assert_matches_solve_max(batch)
+        assert len(statuses) == 378 and disputes == 0
+        assert [k for k, s in enumerate(statuses) if s == "infeasible"] == [17, 18]
 
-    @pytest.mark.parametrize("n_art", [2, 3, 4])
-    def test_stack_set_up_from_arrays(self, channel, budget_m8, n_art):
-        # One stack of first-round members that need n_art artificial
-        # columns, set up straight from the round's stacked LP arrays.
+    def test_random_rounds(self):
+        # 1 000 random LPs over gap scales 1e-3 to 1e9, M = 8 and 16,
+        # N = 1e5-1e15. solve_max's feasibility tolerance is 1e-9 in units
+        # of N, so on the thin strips of gap scale 1e-3 it can miss the
+        # optimum or call an infeasible LP feasible; HiGHS settles those.
+        rng = np.random.default_rng(1009)
+        statuses = []
+        for gap_scale in (1e-3, 1.0, 1e3, 1e9):
+            for n_phases in (8, 16):
+                budget = make_budget(n_phases=n_phases, eps_cor=1e-10, eps_pa=1.6566e-10,
+                                     eps_total_pe=4e-20)
+                for _ in range(5):
+                    n_total = int(10 ** rng.uniform(5, 15))
+                    batch = build_lps(*random_round(rng, n_phases, n_total, 25), budget,
+                                      gap_scale=gap_scale)
+                    got, disputes = assert_matches_solve_max(batch)
+                    statuses += got
+                    if gap_scale >= 1.0:
+                        assert disputes == 0
+        assert len(statuses) == 1000
+        assert statuses.count("infeasible") >= 10
+
+    def test_multipliers_certify_the_value(self, channel, budget_m8):
+        # lambda X + kappa Y + sum_j max over P_j of (c_j - lambda) x - kappa y,
+        # each class maximum found by solve_max on its own two-variable LP,
+        # gives back the value: (lambda, kappa) is an optimal dual point.
         batch = build_lps(*first_search_round(channel, 8, 1e14, 240.0), budget_m8)
-        _, _, resid = simplex._real_system(batch, np.arange(len(batch)))
-        counts = 2 + np.count_nonzero(resid[:, 2:] < 0.0, axis=1)
-        assert set(counts.tolist()) == {2, 3, 4}
-        ids = np.flatnonzero(counts == n_art)[: simplex.BATCH_CHUNK]
-        assert len(ids) > 1
-        stack = simplex._Stack(batch, ids)
-        assert stack.n_art == n_art
-        assert stack.a.shape == (len(ids), 22, 16 + 20 + n_art)
-        results = [None] * len(batch)
-        stack.solve(results)
-        for k in ids:
-            assert_same_solution(results[k], solve_max(batch.member(k)))
-
-    def test_lone_shape_next_to_full_stacks(self, monkeypatch):
-        # Two full stacks of members that need one artificial column and,
-        # between them, the only member that needs two, which is solved on
-        # its own tableau.
-        sizes = []
-
-        class RecordingStack(simplex._Stack):
-            def __init__(self, batch, ids):
-                sizes.append(len(ids))
-                super().__init__(batch, ids)
-
-        monkeypatch.setattr(simplex, "_Stack", RecordingStack)
-        stacked = [
-            box_lp([1.0, 1.0 + 0.01 * k], a_ub=[[1.0, 2.0]], b_ub=[2.0 + 0.01 * k],
-                   a_eq=[[1.0, -1.0]], b_eq=[0.1 * k], upper=[3.0, 1.0])
-            for k in range(2 * simplex.BATCH_CHUNK)
-        ]
-        lone = box_lp([1.0, 2.0], a_ub=[[-1.0, 1.0]], b_ub=[-0.5],
-                      a_eq=[[1.0, 1.0]], b_eq=[1.0], upper=[2.0, 1.0])
-        lps = stacked[:5] + [lone] + stacked[5:]
-        statuses = [sol.status for sol in assert_same_solutions(lps)]
-        assert sizes == [simplex.BATCH_CHUNK, simplex.BATCH_CHUNK]
-        assert statuses[5] == "optimal"
-
-    def test_unbounded_member(self):
-        lps = [
-            box_lp([1.0, 1.0], a_ub=[[1.0, 0.0]], b_ub=[2.0], upper=[3.0, 1.0]),
-            box_lp([1.0, 1.0], a_ub=[[-1.0, 0.0]], b_ub=[0.0], upper=[np.inf, 1.0]),
-            box_lp([1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.5], upper=[1.0, 1.0]),
-        ]
-        statuses = [sol.status for sol in assert_same_solutions(lps)]
-        assert statuses == ["optimal", "unbounded", "optimal"]
+        boxes, strips = batch.boxes(), batch.strips()
+        for k, sol in list(enumerate(solve_separable(batch)))[::37]:
+            lam, kappa = sol.row_duals
+            total = lam * batch.b_eq[k, 0] + kappa * batch.b_eq[k, 1]
+            for j in range(8):
+                x_lo, x_hi, y_lo, y_hi = boxes[k, :, j]
+                a, b, d = strips[k, :, j]
+                part = solve_max(box_lp(
+                    [float(j % 2 == 0) - lam, -kappa], a_ub=[[a, -b], [-a, b]], b_ub=[d, d],
+                    lower=[x_lo, y_lo], upper=[x_hi, y_hi],
+                ))
+                total += part.objective_value
+            assert total == pytest.approx(sol.objective_value, rel=1e-9, abs=0.0)
 
     def test_empty_input(self, budget_m8):
-        assert solve_max_batch(build_lps([], [], budget_m8)) == []
+        assert solve_separable(build_lps([], [], budget_m8)) == []
 
 
 class TestExternalSolverCrossCheck:
@@ -292,33 +329,29 @@ class TestExternalSolverCrossCheck:
     LP solver (test-only dependency) covers them."""
 
     def test_m8_instances_match_highs(self, channel, budget_m8):
-        scipy_opt = pytest.importorskip("scipy.optimize")
+        # Expected and sampled counts over 10-450 km; solve_max on each LP
+        # and solve_separable on all of them as one batch, against default
+        # HiGHS.
         rng = np.random.default_rng(808)
-        for _ in range(30):
+        lps, batches = [], []
+        for i in range(40):
             mu, nu = sorted(rng.uniform(0.01, 0.3, size=2))
             p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
-            proto = __import__("tfqkd").ProtocolParams.make(
-                mu, nu, p_mu, p_nu, 8, int(10 ** rng.uniform(10, 14))
-            )
-            counts = expected_observations(proto, channel, float(rng.uniform(10, 300)))
-            lp = build_lp(proto, counts, budget_m8)
+            proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(10 ** rng.uniform(10, 14)))
+            l_km = float(rng.uniform(10, 450))
+            if i % 2:
+                counts = sample_observations(proto, channel, l_km, i)
+            else:
+                counts = expected_observations(proto, channel, l_km)
+            batches.append(build_lps([proto], [counts], budget_m8))
+            lps.append(build_lp(proto, counts, budget_m8))
+        for lp, got in zip(lps, solve_separable(concat_batches(batches))):
             mine = solve_max(lp)
-            # bump the instance to unit scale first: the reference solver's
-            # default feasibility tolerance (1e-7) would otherwise be as
-            # large as the data itself
-            s = 1.0 / float(np.max(np.abs(lp.b_ub)))
-            ref = scipy_opt.linprog(
-                -lp.objective,
-                A_ub=lp.a_ub,
-                b_ub=lp.b_ub * s,
-                A_eq=lp.a_eq,
-                b_eq=lp.b_eq * s,
-                bounds=list(zip(lp.lower * s, lp.upper * s)),
-                method="highs",
-            )
-            assert mine.status == "optimal"
-            assert ref.status == 0
-            assert mine.objective_value == pytest.approx(-ref.fun / s, rel=1e-7, abs=1e-12)
+            status, value = highs(lp)
+            assert mine.status == got.status == status
+            if status == "optimal":
+                assert mine.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12)
+                assert got.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12)
 
 
 class TestDumpParsing:
@@ -328,10 +361,37 @@ class TestDumpParsing:
         with pytest.raises(ValueError):
             load_lp(path)
 
-    def test_rejects_malformed_records(self, tmp_path):
+    @pytest.mark.parametrize("bad, good", [
+        ("mystery\t1\t2", None),  # unknown record
+        ("le\t1\t1\t5\t1", "le\t1\t1\t5"),  # a row one value too wide
+        ("le\t1", "le\t1\t1\t5"),  # a short row
+        ("bound\t0", "bound\t0\t3"),  # a short bound
+        ("objective\tnan\t0", "objective\t1\t0"),
+        ("objective\t1\tone", "objective\t1\t0"),
+        ("bound\t0\tnan", "bound\t0\t3"),
+        ("bound\t-inf\t3", "bound\t0\t3"),
+        ("eq\t1\t1\tinf", "eq\t1\t1\t2"),
+        ("scale\tnan", "scale\t1"),
+        ("nvars\t2.5", "nvars\t2"),
+        ("nvars\t2\nnvars\t2", "nvars\t2"),  # repeated
+    ], ids=[
+        "unknown-record", "long-row", "short-row", "short-bound", "nan-objective",
+        "word-objective", "nan-bound", "infinite-lower", "infinite-rhs", "nan-scale",
+        "fractional-nvars", "repeated-nvars",
+    ])
+    def test_rejects_malformed_records(self, tmp_path, bad, good):
+        lines = ["tfqkd-lp 1", "nvars\t2", "scale\t1", "objective\t1\t0", "eq\t1\t1\t2",
+                 "le\t1\t1\t5", "bound\t0\t3", "bound\t0\tinf"]
         path = tmp_path / "bad2.txt"
-        path.write_text("tfqkd-lp 1\nnvars\t2\nmystery\t1\t2\n")
-        with pytest.raises(ValueError):
+        path.write_text("\n".join(lines) + "\n")
+        sol = solve_max(load_lp(path))  # the dump as written loads, +inf bound included
+        assert (sol.status, sol.objective_value) == ("optimal", 2.0)
+        if good is None:
+            lines.append(bad)
+        else:
+            lines[lines.index(good)] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_lp(path)
 
     def test_rejects_missing_bounds(self, tmp_path):
