@@ -7,18 +7,20 @@ Exit codes: 0 success, 2 config error, 3 internal failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .channel import ChannelParams, ProtocolParams
 from .constraints import SecurityBudget, _fmt, build_lp, dump_lp, make_budget
 from .keyrate import KeyRateReport, analyze, observe
-from .optimize import SearchSpace, default_threads, optimize_point, sweep
+from .optimize import SearchSpace, optimize_point, sweep
 
 CSV_HEADER = "L_km,mu,nu,p_mu,p_nu,p_o,n_bit,e_bit,e_ph_upper,key_length,key_rate,plob_rate,status"
 
@@ -27,28 +29,22 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message carries the field path."""
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     channel: ChannelParams
     n_phases: int
     n_total: int
     budget: SecurityBudget
     distances: list[float]
-    mode: str = "expected"
-    seed: int = 0
-    optimize: bool = False
-    protocol: ProtocolParams | None = None
-    search: SearchSpace = field(default_factory=SearchSpace)
-    detector_in_eta: bool = True
-    plob_includes_detector: bool = False
-    output: str | None = None
-    threads: int = 1
-
-
-def _need(data: dict, key: str, path: str):
-    if key not in data:
-        raise ConfigError(f"{path}{key}: missing required field")
-    return data[key]
+    mode: str
+    seed: int
+    optimize: bool
+    protocol: ProtocolParams | None
+    search: SearchSpace
+    detector_in_eta: bool
+    plob_includes_detector: bool
+    output: str | None
+    threads: int
 
 
 def _as_number(value, path: str) -> float:
@@ -64,10 +60,12 @@ def _as_number(value, path: str) -> float:
     return number
 
 
-def _as_int(value, path: str) -> int:
+def _as_int(value, path: str, low: float = -math.inf) -> int:
     v = _as_number(value, path)
     if v != int(v):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if v < low:
+        raise ConfigError(f"{path}: must be >= {low}")
     return int(v)
 
 
@@ -77,144 +75,131 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
+def _as_string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a path string")
+    return value
+
+
+def _as_mode(value, path: str) -> str:
+    if value not in ("expected", "sampled"):
+        raise ConfigError(f"{path}: must be 'expected' or 'sampled', got {value!r}")
+    return value
+
+
 def _as_range(value, path: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{path}: expected [low, high]")
     return (_as_number(value[0], path + "[0]"), _as_number(value[1], path + "[1]"))
 
 
-def _parse_distances(value) -> list[float]:
-    if isinstance(value, list):
-        out = [_as_number(v, f"distances[{i}]") for i, v in enumerate(value)]
-    elif isinstance(value, dict):
-        start = _as_number(_need(value, "start", "distances."), "distances.start")
-        stop = _as_number(_need(value, "stop", "distances."), "distances.stop")
-        step = _as_number(_need(value, "step", "distances."), "distances.step")
-        if step <= 0.0:
-            raise ConfigError("distances.step: must be > 0")
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        out = [start + i * step for i in range(count)]
-    else:
-        raise ConfigError("distances: expected a list or {start, stop, step}")
-    if not out:
-        raise ConfigError("distances: empty distance list")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ConfigError("distances: must be strictly increasing")
-    if any(d < 0.0 for d in out):
-        raise ConfigError("distances: must be >= 0")
+_REQUIRED = object()
+
+
+def _fields(data, path: str, table: dict) -> dict:
+    """Convert the JSON object at `path` by its field table, which maps each
+    allowed key to (converter, default); a default of _REQUIRED marks a
+    required key. Returns every key of the table with its value."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'top level'}: expected an object")
+    prefix = path + "." if path else ""
+    for key in data:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    out = {}
+    for key, (convert, default) in table.items():
+        if key in data:
+            out[key] = convert(data[key], prefix + key)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{prefix}{key}: missing required field")
+        else:
+            out[key] = default
     return out
+
+
+def _build(path: str, make, **kwargs):
+    """Call a constructor, reporting its ValueError under the object's path."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _object(table: dict, make=dict):
+    """Converter for a nested object: its fields by `table`, passed to `make`."""
+    return lambda value, path: _build(path, make, **_fields(value, path, table))
+
+
+def _numbers(*keys: str) -> dict:
+    return {key: (_as_number, _REQUIRED) for key in keys}
+
+
+def _as_distances(value, path: str) -> list[float]:
+    if isinstance(value, list):
+        out = [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    elif isinstance(value, dict):
+        r = _fields(value, path, _RANGE)
+        if r["step"] <= 0.0:
+            raise ConfigError(f"{path}.step: must be > 0")
+        count = math.floor((r["stop"] - r["start"]) / r["step"] + 1e-9) + 1
+        out = [r["start"] + i * r["step"] for i in range(count)]
+    else:
+        raise ConfigError(f"{path}: expected a list or {{start, stop, step}}")
+    if not out:
+        raise ConfigError(f"{path}: empty distance list")
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ConfigError(f"{path}: must be strictly increasing")
+    if any(d < 0.0 for d in out):
+        raise ConfigError(f"{path}: must be >= 0")
+    return out
+
+
+# The field tables of src/tfqkd/schemas/config.schema.json.
+_RANGE = _numbers("start", "stop", "step")
+_CHANNEL = _numbers("e_m", "p_d", "xi", "eta_d", "f_ec")
+_BUDGET = {
+    **_numbers("eps_cor", "eps_pa"),
+    "eps_a": (_as_number, None),
+    "eps_total_pe": (_as_number, None),
+}
+_PROTOCOL = _numbers("mu", "nu", "p_mu", "p_nu")
+_SEARCH = {  # SearchSpace's fields, with its defaults
+    f.name: (_as_range if f.name.endswith("_range") else _as_int, f.default)
+    for f in dataclasses.fields(SearchSpace)
+}
+# Budget and protocol are built in parse_config, once n_phases and n_total
+# are known.
+_TOP = {
+    "channel": (_object(_CHANNEL, ChannelParams), _REQUIRED),
+    "n_phases": (_as_int, _REQUIRED),
+    "n_total": (partial(_as_int, low=1), _REQUIRED),
+    "budget": (_object(_BUDGET), _REQUIRED),
+    "distances": (_as_distances, _REQUIRED),
+    "mode": (_as_mode, "expected"),
+    "seed": (partial(_as_int, low=0), 0),
+    "optimize": (_as_bool, False),
+    "protocol": (_object(_PROTOCOL), None),
+    "search": (_object(_SEARCH, SearchSpace), SearchSpace()),
+    "detector_in_eta": (_as_bool, True),
+    "plob_includes_detector": (_as_bool, False),
+    "output": (_as_string, None),
+    "threads": (partial(_as_int, low=1), 1),
+}
 
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig, reporting problems
     with their field paths."""
-    if not isinstance(data, dict):
-        raise ConfigError(": top level must be a JSON object")
-
-    ch = _need(data, "channel", "")
-    if not isinstance(ch, dict):
-        raise ConfigError("channel: expected an object")
-    try:
-        channel = ChannelParams(
-            e_m=_as_number(_need(ch, "e_m", "channel."), "channel.e_m"),
-            p_d=_as_number(_need(ch, "p_d", "channel."), "channel.p_d"),
-            xi=_as_number(_need(ch, "xi", "channel."), "channel.xi"),
-            eta_d=_as_number(_need(ch, "eta_d", "channel."), "channel.eta_d"),
-            f_ec=_as_number(_need(ch, "f_ec", "channel."), "channel.f_ec"),
+    top = _fields(data, "", _TOP)
+    top["budget"] = _build("budget", make_budget, n_phases=top["n_phases"], **top["budget"])
+    if top["protocol"] is not None:
+        top["protocol"] = _build(
+            "protocol", ProtocolParams.make,
+            n_phases=top["n_phases"], n_total=top["n_total"], **top["protocol"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
-
-    n_phases = _as_int(_need(data, "n_phases", ""), "n_phases")
-    n_total = _as_int(_need(data, "n_total", ""), "n_total")
-
-    bd = _need(data, "budget", "")
-    if not isinstance(bd, dict):
-        raise ConfigError("budget: expected an object")
-    if ("eps_a" in bd) == ("eps_total_pe" in bd):
-        raise ConfigError("budget: give exactly one of eps_a / eps_total_pe")
-    try:
-        budget = make_budget(
-            n_phases=n_phases,
-            eps_cor=_as_number(_need(bd, "eps_cor", "budget."), "budget.eps_cor"),
-            eps_pa=_as_number(_need(bd, "eps_pa", "budget."), "budget.eps_pa"),
-            eps_a=_as_number(bd["eps_a"], "budget.eps_a") if "eps_a" in bd else None,
-            eps_total_pe=(
-                _as_number(bd["eps_total_pe"], "budget.eps_total_pe")
-                if "eps_total_pe" in bd
-                else None
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"budget: {exc}") from exc
-
-    distances = _parse_distances(_need(data, "distances", ""))
-
-    mode = data.get("mode", "expected")
-    if mode not in ("expected", "sampled"):
-        raise ConfigError(f"mode: must be 'expected' or 'sampled', got {mode!r}")
-    seed = _as_int(data.get("seed", 0), "seed")
-
-    do_opt = _as_bool(data.get("optimize", False), "optimize")
-    protocol = None
-    if not do_opt or "protocol" in data:
-        pr = _need(data, "protocol", "")
-        if not isinstance(pr, dict):
-            raise ConfigError("protocol: expected an object")
-        try:
-            protocol = ProtocolParams.make(
-                mu=_as_number(_need(pr, "mu", "protocol."), "protocol.mu"),
-                nu=_as_number(_need(pr, "nu", "protocol."), "protocol.nu"),
-                p_mu=_as_number(_need(pr, "p_mu", "protocol."), "protocol.p_mu"),
-                p_nu=_as_number(_need(pr, "p_nu", "protocol."), "protocol.p_nu"),
-                n_phases=n_phases,
-                n_total=n_total,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"protocol: {exc}") from exc
-
-    search = SearchSpace()
-    if "search" in data:
-        sp = data["search"]
-        if not isinstance(sp, dict):
-            raise ConfigError("search: expected an object")
-        kwargs = {}
-        for name in ("mu_range", "nu_range", "p_mu_range", "p_nu_range"):
-            if name in sp:
-                kwargs[name] = _as_range(sp[name], f"search.{name}")
-        for name in ("grid_density", "refinement_rounds"):
-            if name in sp:
-                kwargs[name] = _as_int(sp[name], f"search.{name}")
-        try:
-            search = SearchSpace(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"search: {exc}") from exc
-
-    threads = _as_int(data.get("threads", 1), "threads")
-    if threads < 1:
-        raise ConfigError("threads: must be >= 1")
-    output = data.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("output: expected a path string")
-
-    return RunConfig(
-        channel=channel,
-        n_phases=n_phases,
-        n_total=n_total,
-        budget=budget,
-        distances=distances,
-        mode=mode,
-        seed=seed,
-        optimize=do_opt,
-        protocol=protocol,
-        search=search,
-        detector_in_eta=_as_bool(data.get("detector_in_eta", True), "detector_in_eta"),
-        plob_includes_detector=_as_bool(
-            data.get("plob_includes_detector", False), "plob_includes_detector"
-        ),
-        output=output,
-        threads=threads,
-    )
+    elif not top["optimize"]:
+        raise ConfigError("protocol: missing required field")
+    return RunConfig(**top)
 
 
 def load_config(path: str) -> RunConfig:
@@ -231,10 +216,6 @@ def load_config(path: str) -> RunConfig:
 def _distance_seeds(seed: int, count: int) -> list[int]:
     children = np.random.SeedSequence(seed).spawn(count)
     return [int(child.generate_state(1)[0]) for child in children]
-
-
-def _json_num(x: float):
-    return x if math.isfinite(x) else None
 
 
 def _report_row(report: KeyRateReport) -> str:
@@ -263,13 +244,8 @@ def _sidecar_entry(report: KeyRateReport) -> dict:
         "e_ph_upper": report.e_ph_upper,
         "key_length": report.key_length,
         "key_rate": report.key_rate,
-        "plob_rate": _json_num(report.plob_rate),
+        "plob_rate": report.plob_rate if math.isfinite(report.plob_rate) else None,
     }
-
-
-def _sidecar_path(csv_path: str) -> str:
-    base, _ = os.path.splitext(csv_path)
-    return base + ".json"
 
 
 def _check_writable(path: str) -> None:
@@ -280,68 +256,57 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"output: {path} is a directory")
 
 
+@contextlib.contextmanager
+def _removed_on_error(*paths: str):
+    """Remove every output path when writing them raises OSError."""
+    try:
+        yield
+    except OSError:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
 def run_analyze(config: RunConfig) -> int:
     """Analyze every configured distance and write the CSV plus the JSON
-    diagnostics sidecar. Returns the process exit code."""
-    if config.output is None:
-        raise ConfigError("output: required for analyze/sweep runs")
+    diagnostics sidecar to config.output. Returns the process exit code."""
     out_csv = config.output
-    out_json = _sidecar_path(out_csv)
-    _check_writable(out_csv)
+    out_json = os.path.splitext(out_csv)[0] + ".json"
 
-    reports: list[KeyRateReport] = []
-    # One child seed per distance keeps sampled counts independent across
-    # the sweep while staying a pure function of the configured seed.
-    seeds = _distance_seeds(config.seed, len(config.distances))
     if config.optimize:
         results = sweep(
-            config.channel,
-            config.distances,
-            config.n_phases,
-            config.n_total,
-            config.budget,
-            config.search,
+            config.channel, config.distances, config.n_phases, config.n_total,
+            config.budget, config.search,
             detector_in_eta=config.detector_in_eta,
             plob_with_detector=config.plob_includes_detector,
             threads=config.threads,
         )
-        for (l_km, params, report), seed in zip(results, seeds):
-            if config.mode == "sampled":
-                report = analyze(
-                    params, config.channel, l_km, config.budget,
-                    mode="sampled", seed=seed,
-                    detector_in_eta=config.detector_in_eta,
-                    plob_with_detector=config.plob_includes_detector,
-                )
-            reports.append(report)
     else:
-        for l_km, seed in zip(config.distances, seeds):
-            reports.append(
-                analyze(
-                    config.protocol, config.channel, l_km, config.budget,
-                    mode=config.mode, seed=seed,
-                    detector_in_eta=config.detector_in_eta,
-                    plob_with_detector=config.plob_includes_detector,
-                )
-            )
+        results = [(l_km, config.protocol, None) for l_km in config.distances]
+    # One child seed per distance keeps sampled counts independent across
+    # the sweep while staying a pure function of the configured seed. The
+    # optimizer's own report is already the expected-mode analysis.
+    seeds = _distance_seeds(config.seed, len(config.distances))
+    reports = [
+        report if report is not None and config.mode == "expected" else analyze(
+            params, config.channel, l_km, config.budget,
+            mode=config.mode, seed=seed,
+            detector_in_eta=config.detector_in_eta,
+            plob_with_detector=config.plob_includes_detector,
+        )
+        for (l_km, params, report), seed in zip(results, seeds)
+    ]
 
     sidecar = {
-        "budget": {
-            "eps_a": config.budget.eps_a,
-            "eps_total_pe": config.budget.eps_total_pe,
-            "eps_cor": config.budget.eps_cor,
-            "eps_pa": config.budget.eps_pa,
-            "eps_sec": config.budget.eps_sec,
-            "eps_tol": config.budget.eps_tol,
-            "n_phases": config.budget.n_phases,
-        },
+        "budget": dataclasses.asdict(config.budget),
         "mode": config.mode,
         "seed": config.seed,
         "optimize": config.optimize,
         "results": [_sidecar_entry(r) for r in reports],
     }
 
-    try:
+    with _removed_on_error(out_csv, out_json):
         with open(out_csv, "w") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in reports:
@@ -349,21 +314,13 @@ def run_analyze(config: RunConfig) -> int:
         with open(out_json, "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except OSError:
-        for path in (out_csv, out_json):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
     return 0
 
 
-def run_dump_lp(config: RunConfig, l_km: float, out_path: str) -> int:
-    """Emit the debug LP matrix at one distance for external cross-checks:
-    the LP that `tfqkd analyze` at that distance solves, sampled counts
-    included."""
-    _check_writable(out_path)
+def run_dump_lp(config: RunConfig, l_km: float) -> int:
+    """Write the debug LP matrix at one distance to config.output for
+    external cross-checks: the LP that `tfqkd analyze` at that distance
+    solves, sampled counts included."""
     if config.optimize:
         params, _ = optimize_point(
             config.channel, l_km, config.n_phases, config.n_total,
@@ -376,14 +333,8 @@ def run_dump_lp(config: RunConfig, l_km: float, out_path: str) -> int:
     seed = _distance_seeds(config.seed, 1)[0]
     counts = observe(params, config.channel, l_km, config.mode, seed, config.detector_in_eta)
     lp = build_lp(params, counts, config.budget)
-    try:
-        dump_lp(lp, out_path)
-    except OSError:
-        try:
-            os.unlink(out_path)
-        except OSError:
-            pass
-        raise
+    with _removed_on_error(config.output):
+        dump_lp(lp, config.output)
     return 0
 
 
@@ -416,28 +367,29 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         if args.out is not None:
             config.output = args.out
+        if config.output is None:
+            raise ConfigError("output: required (config field or --out)")
+        _check_writable(config.output)
         # Thread precedence: --threads flag, then TFQKD_THREADS, then config.
-        config.threads = default_threads(fallback=config.threads)
+        env = os.environ.get("TFQKD_THREADS")
         if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads: must be >= 1")
-            config.threads = args.threads
+            config.threads = _as_int(args.threads, "threads", low=1)
+        elif env:
+            if not env.isdecimal():
+                raise ConfigError(f"TFQKD_THREADS: expected an integer >= 1, got {env!r}")
+            config.threads = _as_int(int(env), "TFQKD_THREADS", low=1)
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = _as_int(args.seed, "seed", low=0)
 
-        if args.command == "analyze":
-            if args.distance is not None:
-                config.distances = [args.distance]
-            if len(config.distances) != 1:
-                raise ConfigError("distances: analyze needs exactly one distance")
-            return run_analyze(config)
         if args.command == "sweep":
             return run_analyze(config)
+        if args.distance is not None:
+            config.distances = _as_distances([args.distance], "distances")
+        if len(config.distances) != 1:
+            raise ConfigError("distances: analyze needs exactly one distance")
         if args.command == "dump-lp":
-            if config.output is None:
-                raise ConfigError("output: required for dump-lp")
-            return run_dump_lp(config, args.distance, config.output)
-        raise AssertionError(f"unhandled command {args.command}")
+            return run_dump_lp(config, config.distances[0])
+        return run_analyze(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

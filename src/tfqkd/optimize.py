@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -72,6 +71,10 @@ def _lin_grid(lo: float, hi: float, k: int) -> list[float]:
     return [lo + (hi - lo) * i / (k - 1) for i in range(k)]
 
 
+# The searched parameters, each with whether its grid is geometric.
+_PARAMS = (("mu", True), ("nu", True), ("p_mu", False), ("p_nu", False))
+
+
 def _shrunk(center: float, lo: float, hi: float, outer: tuple[float, float], geometric: bool):
     """Halve the (lo, hi) window around `center`, clipped to `outer`."""
     olo, ohi = outer
@@ -85,6 +88,18 @@ def _shrunk(center: float, lo: float, hi: float, outer: tuple[float, float], geo
     new_lo = max(olo, center - half)
     new_hi = min(ohi, center + half)
     return new_lo, new_hi
+
+
+def _shrunk_windows(windows: dict, incumbent: ProtocolParams, space: SearchSpace) -> dict:
+    """Halve every parameter's window around the incumbent, clipped to the
+    space's ranges; windows are keyed by range name ("mu_range", ...)."""
+    return {
+        f"{name}_range": _shrunk(
+            getattr(incumbent, name), *windows[f"{name}_range"],
+            getattr(space, f"{name}_range"), geometric,
+        )
+        for name, geometric in _PARAMS
+    }
 
 
 def optimize_point(
@@ -105,20 +120,15 @@ def optimize_point(
     resolve to the first point in scan order. The report is analyze's for
     the winner.
     """
-    windows = {
-        "mu": space.mu_range,
-        "nu": space.nu_range,
-        "p_mu": space.p_mu_range,
-        "p_nu": space.p_nu_range,
-    }
+    windows = {f"{name}_range": getattr(space, f"{name}_range") for name, _ in _PARAMS}
     best: tuple[float, ProtocolParams] | None = None
     k = space.grid_density
     for round_idx in range(space.refinement_rounds + 1):
         grid = itertools.product(
-            _geom_grid(*windows["mu"], k),
-            _geom_grid(*windows["nu"], k),
-            _lin_grid(*windows["p_mu"], k),
-            _lin_grid(*windows["p_nu"], k),
+            _geom_grid(*windows["mu_range"], k),
+            _geom_grid(*windows["nu_range"], k),
+            _lin_grid(*windows["p_mu_range"], k),
+            _lin_grid(*windows["p_nu_range"], k),
         )
         candidates = []
         observations = []
@@ -143,13 +153,7 @@ def optimize_point(
                 f"every grid point has p_mu + p_nu > 1 at L={l_km}"
             )
         if round_idx < space.refinement_rounds:
-            inc = best[1]
-            windows = {
-                "mu": _shrunk(inc.mu, *windows["mu"], space.mu_range, True),
-                "nu": _shrunk(inc.nu, *windows["nu"], space.nu_range, True),
-                "p_mu": _shrunk(inc.p_mu, *windows["p_mu"], space.p_mu_range, False),
-                "p_nu": _shrunk(inc.p_nu, *windows["p_nu"], space.p_nu_range, False),
-            }
+            windows = _shrunk_windows(windows, best[1], space)
     params = best[1]
     report = analyze(
         params, channel, l_km, budget,
@@ -161,13 +165,7 @@ def optimize_point(
 def _warmed_space(space: SearchSpace, incumbent: ProtocolParams) -> SearchSpace:
     """Center a half-span window on the previous incumbent (adjacent
     distances have similar optima, so refinement converges from closer)."""
-    return replace(
-        space,
-        mu_range=_shrunk(incumbent.mu, *space.mu_range, space.mu_range, True),
-        nu_range=_shrunk(incumbent.nu, *space.nu_range, space.nu_range, True),
-        p_mu_range=_shrunk(incumbent.p_mu, *space.p_mu_range, space.p_mu_range, False),
-        p_nu_range=_shrunk(incumbent.p_nu, *space.p_nu_range, space.p_nu_range, False),
-    )
+    return replace(space, **_shrunk_windows(vars(space), incumbent, space))
 
 
 def _sweep_one(args) -> tuple[float, ProtocolParams, KeyRateReport]:
@@ -189,14 +187,16 @@ def sweep(
     detector_in_eta: bool = True,
     plob_with_detector: bool = False,
     threads: int = 1,
-    warm_start: bool = True,
 ) -> list[tuple[float, ProtocolParams, KeyRateReport]]:
     """Per-distance optimization over a strictly increasing distance list.
 
-    Sequential sweeps warm-start each distance from the previous incumbent;
-    parallel sweeps run cold per distance. The grid search is not converged,
-    so the two can pick different parameters: cold starts have given key
-    rates 0.2-2 % below warm ones. Results are always in distance order.
+    With threads == 1 each distance after one with a positive key starts
+    from a half-span window around the previous incumbent (warm start);
+    with threads > 1 every distance is an independent optimize_point call
+    (cold start). The grid search is not converged, so the two can pick
+    different parameters: cold starts have given key rates 0.2-2 % below
+    warm ones, and the output depends on whether threads is 1. Results are
+    always in distance order.
     """
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be strictly increasing")
@@ -217,20 +217,5 @@ def sweep(
             detector_in_eta=detector_in_eta, plob_with_detector=plob_with_detector,
         )
         out.append((l_km, params, report))
-        if warm_start and report.key_length > 0.0:
-            current = _warmed_space(space, params)
-        else:
-            current = space
+        current = _warmed_space(space, params) if report.key_length > 0.0 else space
     return out
-
-
-def default_threads(fallback: int = 1) -> int:
-    """Worker count for parallel sweeps: the TFQKD_THREADS environment
-    variable when it is set to an integer, else `fallback`."""
-    env = os.environ.get("TFQKD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return fallback

@@ -10,6 +10,7 @@ from tfqkd.cli import CSV_HEADER, ConfigError, load_config, main, parse_config
 from tfqkd.simplex import load_lp, solve_max
 
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "tfqkd" / "schemas"
+CONFIG_SCHEMA = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
 
 
 def base_config(**overrides):
@@ -25,10 +26,64 @@ def base_config(**overrides):
     return cfg
 
 
+TINY_SEARCH = {
+    "mu_range": [0.02, 0.1],
+    "nu_range": [0.02, 0.2],
+    "p_mu_range": [0.3, 0.8],
+    "p_nu_range": [0.05, 0.3],
+    "grid_density": 3,
+    "refinement_rounds": 1,
+}
+
+
+def full_config(budget_key="eps_total_pe"):
+    """A config that sets every field the schema lists, with one of the
+    two alternative budget keys."""
+    budget = {"eps_cor": 1e-10, "eps_pa": 1.6566e-10}
+    budget[budget_key] = {"eps_total_pe": 4e-20, "eps_a": 1e-22}[budget_key]
+    return base_config(
+        budget=budget,
+        distances={"start": 40, "stop": 60, "step": 20},
+        mode="sampled",
+        seed=3,
+        optimize=True,
+        search=dict(TINY_SEARCH),
+        detector_in_eta=False,
+        plob_includes_detector=True,
+        output="curve.csv",
+        threads=2,
+    )
+
+
+# The config's object levels: top, the nested objects, the distance range.
+LEVELS = ("", "channel", "budget", "protocol", "search", "distances")
+
+
+def at_level(cfg, level):
+    return cfg if level == "" else cfg[level]
+
+
+def schema_fields(level):
+    props = CONFIG_SCHEMA["properties"]
+    if level == "":
+        return props
+    if level == "distances":
+        return props["distances"]["oneOf"][1]["properties"]
+    return props[level]["properties"]
+
+
 def write_config(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def assert_config_error(tmp_path, capsys, cfg, message):
+    """`tfqkd sweep` on cfg exits 2 with `message` and writes nothing."""
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 class TestConfigParsing:
@@ -89,8 +144,76 @@ class TestConfigParsing:
         assert cfg.search.grid_density == 3
 
     def test_config_schema_accepts_base(self):
-        schema = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
-        jsonschema.validate(base_config(), schema)
+        jsonschema.validate(base_config(), CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("budget_key", ["eps_total_pe", "eps_a"])
+    def test_every_schema_field_is_parsed(self, budget_key):
+        cfg = full_config(budget_key)
+        other = {"eps_a", "eps_total_pe"} - {budget_key}
+        for level in LEVELS:
+            extra = other if level == "budget" else set()
+            assert set(at_level(cfg, level)) | extra == set(schema_fields(level)), level
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        parsed = parse_config(cfg)
+        assert parsed.distances == [40.0, 60.0]
+        assert (parsed.mode, parsed.seed, parsed.threads, parsed.output) == (
+            "sampled", 3, 2, "curve.csv"
+        )
+        assert parsed.optimize and not parsed.detector_in_eta and parsed.plob_includes_detector
+        assert parsed.search.nu_range == (0.02, 0.2) and parsed.search.refinement_rounds == 1
+        assert parsed.protocol.p_nu == 0.3
+        assert getattr(parsed.budget, budget_key) == cfg["budget"][budget_key]
+
+    @pytest.mark.parametrize(
+        "level, key, value",
+        [
+            ("", "Mode", "sampled"),
+            ("", "seeds", 5),
+            ("", "detector_in_Eta", False),
+            ("channel", "eta", 0.3),
+            ("budget", "eps_sec", 1e-9),
+            ("protocol", "p_o", 0.1),
+            ("search", "grid", 3),
+            ("distances", "end", 60),
+        ],
+    )
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, level, key, value):
+        cfg = full_config()
+        at_level(cfg, level)[key] = value
+        assert key not in schema_fields(level)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        path = f"{level}.{key}" if level else key
+        assert_config_error(tmp_path, capsys, cfg, f"{path}: unknown field")
+
+    @pytest.mark.parametrize(
+        "field, value, optimize, message",
+        [
+            ("seed", -1, False, "must be >= 0"),
+            ("n_total", 0, True, "must be >= 1"),
+            ("n_total", -5, True, "must be >= 1"),
+            ("n_total", 0, False, "must be >= 1"),
+            ("n_total", 1e10 + 0.5, False, "expected an integer"),
+            ("threads", 0, False, "must be >= 1"),
+        ],
+        ids=["seed-1", "n_total0-opt", "n_total-5-opt", "n_total0", "n_total-fraction", "threads0"],
+    )
+    def test_value_outside_schema_is_config_error(
+        self, tmp_path, capsys, field, value, optimize, message
+    ):
+        cfg = base_config(optimize=optimize, **{field: value})
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        assert_config_error(tmp_path, capsys, cfg, f"{field}: {message}")
+
+    def test_shipped_configs_parse_and_validate(self):
+        script = load_rate_distance_script()
+        table1 = json.loads(
+            (Path(__file__).parent.parent / "scripts" / "configs" / "table1_sweep.json").read_text()
+        )
+        for cfg in (table1, script.build_config(1e12, 10.0, 480.0, 10.0, 2)):
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+            assert parse_config(cfg).optimize
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
     @pytest.mark.parametrize(
@@ -154,6 +277,22 @@ class TestAnalyzeCommand:
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("45,")
 
+    @pytest.mark.parametrize("command", ["analyze", "dump-lp"])
+    @pytest.mark.parametrize(
+        "distance, message",
+        [
+            ("-5", "distances: must be >= 0"),
+            ("nan", "distances[0]: expected a finite number"),
+            ("inf", "distances[0]: expected a finite number"),
+        ],
+    )
+    def test_bad_distance_flag_is_config_error(self, tmp_path, capsys, command, distance, message):
+        cfg_path = write_config(tmp_path, base_config(distances=[50.0]))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg_path, "--out", str(out), f"--distance={distance}"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_config_error(self, tmp_path):
         rc = main(["analyze", "--config", str(tmp_path / "nope.json"), "--out", "x.csv"])
         assert rc == 2
@@ -169,11 +308,8 @@ class TestAnalyzeCommand:
 class TestThreadPrecedence:
     """--threads beats TFQKD_THREADS, which beats the config value."""
 
-    @pytest.mark.parametrize(
-        "env, flag, expected",
-        [(None, None, 2), ("1", None, 1), ("3", None, 3), ("1", "4", 4), (None, "1", 1)],
-    )
-    def test_worker_count_reaching_sweep(self, tmp_path, monkeypatch, env, flag, expected):
+    @pytest.fixture
+    def seen(self, monkeypatch):
         import tfqkd.cli
 
         seen = []
@@ -183,6 +319,16 @@ class TestThreadPrecedence:
             raise RuntimeError("stop after recording the worker count")
 
         monkeypatch.setattr(tfqkd.cli, "sweep", fake_sweep)
+        return seen
+
+    @pytest.mark.parametrize(
+        "env, flag, expected",
+        [
+            (None, None, 2), ("", None, 2), ("1", None, 1), ("3", None, 3), ("1", "4", 4),
+            (None, "1", 1), ("abc", "4", 4),
+        ],
+    )
+    def test_worker_count_reaching_sweep(self, tmp_path, monkeypatch, seen, env, flag, expected):
         if env is None:
             monkeypatch.delenv("TFQKD_THREADS", raising=False)
         else:
@@ -193,6 +339,15 @@ class TestThreadPrecedence:
             argv += ["--threads", flag]
         assert main(argv) == 3
         assert seen == [expected]
+
+    @pytest.mark.parametrize("env", ["abc", "not-a-number", "-2", "1.5", "0"])
+    def test_bad_env_value_is_config_error(self, tmp_path, monkeypatch, capsys, seen, env):
+        monkeypatch.setenv("TFQKD_THREADS", env)
+        message = "must be >= 1" if env == "0" else f"expected an integer >= 1, got {env!r}"
+        assert_config_error(
+            tmp_path, capsys, base_config(optimize=True, threads=2), f"TFQKD_THREADS: {message}"
+        )
+        assert seen == []
 
 
 class TestSweepCommand:
@@ -232,6 +387,13 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg2_path, "--out", str(out_same)]) == 0
         assert out_flag.read_bytes() == out_same.read_bytes()
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(mode="sampled"))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sidecar_validates_against_shipped_schema(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config(mode="sampled", seed=5))
         out = tmp_path / "run.csv"
@@ -261,16 +423,6 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[10]) > 0.0  # key_rate column
-
-
-TINY_SEARCH = {
-    "mu_range": [0.02, 0.1],
-    "nu_range": [0.02, 0.2],
-    "p_mu_range": [0.3, 0.8],
-    "p_nu_range": [0.05, 0.3],
-    "grid_density": 3,
-    "refinement_rounds": 1,
-}
 
 
 class TestDumpLpCommand:

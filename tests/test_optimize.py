@@ -182,18 +182,6 @@ class TestOptimizePoint:
         assert a[1].key_length == b[1].key_length
 
 
-class TestDefaultThreads:
-    def test_env_override(self, monkeypatch):
-        from tfqkd.optimize import default_threads
-
-        monkeypatch.delenv("TFQKD_THREADS", raising=False)
-        assert default_threads() == 1
-        monkeypatch.setenv("TFQKD_THREADS", "3")
-        assert default_threads() == 3
-        monkeypatch.setenv("TFQKD_THREADS", "not-a-number")
-        assert default_threads() == 1
-
-
 class TestSweep:
     def test_empty_distances(self, channel, budget_fast):
         assert sweep(channel, [], FAST["n_phases"], FAST["n_total"], budget_fast, tiny_space()) == []
@@ -217,20 +205,22 @@ class TestSweep:
         space = tiny_space(grid_density=3, refinement_rounds=4)
         distances = [40.0, 50.0, 60.0]
         warm = sweep(channel, distances, FAST["n_phases"], FAST["n_total"], budget_fast, space)
-        cold = sweep(
-            channel, distances, FAST["n_phases"], FAST["n_total"], budget_fast, space,
-            warm_start=False,
-        )
-        for (_, _, rw), (_, _, rc) in zip(warm, cold):
+        assert [l_km for l_km, _, _ in warm] == distances
+        for (_, _, rw), l_km in zip(warm, distances):
+            _, rc = optimize_point(
+                channel, l_km, FAST["n_phases"], FAST["n_total"], budget_fast, space
+            )
             assert rw.key_rate == pytest.approx(rc.key_rate, rel=0.01)
 
     def test_parallel_matches_cold_sequential(self, channel, budget_fast):
         space = tiny_space()
         distances = [40.0, 55.0]
-        seq = sweep(
-            channel, distances, FAST["n_phases"], FAST["n_total"], budget_fast, space,
-            warm_start=False,
-        )
+        seq = [
+            (l_km, *optimize_point(
+                channel, l_km, FAST["n_phases"], FAST["n_total"], budget_fast, space
+            ))
+            for l_km in distances
+        ]
         par = sweep(
             channel, distances, FAST["n_phases"], FAST["n_total"], budget_fast, space,
             threads=2,
