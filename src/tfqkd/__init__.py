@@ -17,19 +17,14 @@ from .constraints import (
     SecurityBudget,
     build_lp,
     dump_lp,
-    gap_bound_decoy,
-    gap_bound_vacuum,
     make_budget,
-    variable_upper_bound,
 )
 from .keyrate import (
     Diagnostics,
     KeyRateReport,
-    PhaseErrorInfeasible,
     analyze,
     end_to_end_plob,
     key_length,
-    phase_error_upper_bound,
 )
 from .numerics import (
     binary_entropy,
@@ -40,7 +35,6 @@ from .numerics import (
     plob_bound,
     poisson_pmf,
     vacuum_distinguishability,
-    vacuum_fidelity,
 )
 from .optimize import EmptyFeasibleRegion, SearchSpace, optimize_point, sweep
 from .simplex import LPSolution, load_lp, solve_max
@@ -57,7 +51,6 @@ __all__ = [
     "LinearProgram",
     "NoDetections",
     "ObservedCounts",
-    "PhaseErrorInfeasible",
     "ProtocolParams",
     "SearchSpace",
     "SecurityBudget",
@@ -72,20 +65,15 @@ __all__ = [
     "folded_distinguishability",
     "folded_fidelity",
     "folded_poisson",
-    "gap_bound_decoy",
-    "gap_bound_vacuum",
     "half_channel_transmittance",
     "key_length",
     "load_lp",
     "make_budget",
     "optimize_point",
-    "phase_error_upper_bound",
     "plob_bound",
     "poisson_pmf",
     "sample_observations",
     "solve_max",
     "sweep",
     "vacuum_distinguishability",
-    "vacuum_fidelity",
-    "variable_upper_bound",
 ]

@@ -370,14 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         if config.output is None:
             raise ConfigError("output: required (config field or --out)")
         _check_writable(config.output)
-        # Thread precedence: --threads flag, then TFQKD_THREADS, then config.
-        env = os.environ.get("TFQKD_THREADS")
         if args.threads is not None:
             config.threads = _as_int(args.threads, "threads", low=1)
-        elif env:
-            if not env.isdecimal():
-                raise ConfigError(f"TFQKD_THREADS: expected an integer >= 1, got {env!r}")
-            config.threads = _as_int(int(env), "TFQKD_THREADS", low=1)
         if args.seed is not None:
             config.seed = _as_int(args.seed, "seed", low=0)
 

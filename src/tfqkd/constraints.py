@@ -103,10 +103,6 @@ class GapBound:
     delta: float
     clamp_events: tuple[str, ...] = ()
 
-    @property
-    def clamped(self) -> bool:
-        return bool(self.clamp_events)
-
 
 # Each gap bound charges three two-sided deviation bounds; each variable box
 # charges one one-sided bound.
@@ -133,35 +129,26 @@ def _pair_distinguishabilities(mu: float, nu: float, m_phases: int) -> tuple[flo
     return tuple(folded_distinguishability(j, mu, nu, m_phases) for j in range(m_phases))
 
 
-def _class_probabilities(protocol: ProtocolParams) -> list[float]:
-    """Probabilities that a round prepares the matched-intensity folded
-    class j = 0..M-1 of mu, then of nu (both parties pick the label, phases
-    match in- or anti-phase), then that both parties pick the vacuum."""
-    m = protocol.n_phases
-    weights_mu, _ = _intensity_table(protocol.mu, m)
-    weights_nu, _ = _intensity_table(protocol.nu, m)
-    factor_mu = 2.0 * protocol.p_mu**2 / m
-    factor_nu = 2.0 * protocol.p_nu**2 / m
-    return (
-        [factor_mu * w for w in weights_mu]
-        + [factor_nu * w for w in weights_nu]
-        + [protocol.p_o**2]
-    )
-
-
 def _candidate_rows(
     protocols: Sequence[ProtocolParams], observations: Sequence[ObservedCounts], m_phases: int
 ) -> np.ndarray:
-    """One row per candidate, read from the cached tables: its
-    _class_probabilities (2M + 1), the vacuum distinguishabilities of mu
-    and nu, the pair distinguishabilities of classes 0..M-1, and the
-    observed n_2mu, n_2nu, n_0: (B, 3M + 6)."""
+    """One row per candidate, read from the cached tables: the probabilities
+    that a round prepares the matched-intensity folded class j = 0..M-1 of
+    mu, then of nu (both parties pick the label, phases match in- or
+    anti-phase), then that both parties pick the vacuum (2M + 1); the
+    vacuum distinguishabilities of mu and nu; the pair distinguishabilities
+    of classes 0..M-1; and the observed n_2mu, n_2nu, n_0: (B, 3M + 6)."""
     m = m_phases
     rows = []
     for p, c in zip(protocols, observations):
+        weights_mu, vacuum_mu = _intensity_table(p.mu, m)
+        weights_nu, vacuum_nu = _intensity_table(p.nu, m)
+        factor_mu = 2.0 * p.p_mu**2 / m
+        factor_nu = 2.0 * p.p_nu**2 / m
         rows.append(
-            _class_probabilities(p)
-            + [_intensity_table(p.mu, m)[1], _intensity_table(p.nu, m)[1]]
+            [factor_mu * w for w in weights_mu]
+            + [factor_nu * w for w in weights_nu]
+            + [p.p_o**2, vacuum_mu, vacuum_nu]
             + list(_pair_distinguishabilities(p.mu, p.nu, m))
             + [c.n_2mu, c.n_2nu, c.n_0]
         )
@@ -274,56 +261,12 @@ def _gap_bound_records(
     )
 
 
-def _lone_gap_bounds(
-    protocol: ProtocolParams, counts: ObservedCounts, eps_a: float
-) -> tuple[GapBound, ...]:
-    """_gap_bounds of a single candidate, as GapBound records."""
-    rows = _candidate_rows([protocol], [counts], protocol.n_phases)
-    left, right, delta, events = _gap_bounds(rows, float(protocol.n_total), eps_a)
-    return _gap_bound_records(protocol.n_phases, left[0], right[0], delta[0], events.get(0))
-
-
-def gap_bound_decoy(
-    j: int, protocol: ProtocolParams, counts: ObservedCounts, eps_a: float
-) -> GapBound:
-    """Gap bound between the class-j yields of the signal and decoy
-    intensities."""
-    m = protocol.n_phases
-    if not 0 <= j < m:
-        raise ValueError(f"j={j} outside [0, {m - 1}]")
-    return _lone_gap_bounds(protocol, counts, eps_a)[2 + j]
-
-
-def gap_bound_vacuum(
-    which: str, protocol: ProtocolParams, counts: ObservedCounts, eps_a: float
-) -> GapBound:
-    """Gap bound anchoring the class-0 yield of intensity `which` ("mu" or
-    "nu") to the observed vacuum count."""
-    if which not in ("mu", "nu"):
-        raise ValueError(f"which={which!r} must be 'mu' or 'nu'")
-    return _lone_gap_bounds(protocol, counts, eps_a)[0 if which == "mu" else 1]
-
-
 def _box_caps(q: np.ndarray, n_total: float, eps_a: float) -> np.ndarray:
     """Mean-plus-deviation cap on the clicks of classes prepared with
     probabilities q in n_total rounds."""
     dev = 3.0 * math.log(1.0 / eps_a)
     mean = n_total * q
     return mean + np.sqrt(dev * mean)
-
-
-def variable_upper_bound(
-    j: int, which: str, protocol: ProtocolParams, eps_a: float
-) -> float:
-    """Mean-plus-deviation cap on the class-j yield of intensity `which`:
-    a class cannot click more often than it is prepared."""
-    m = protocol.n_phases
-    if not 0 <= j < m:
-        raise ValueError(f"j={j} outside [0, {m - 1}]")
-    if which not in ("mu", "nu"):
-        raise ValueError(f"which={which!r} must be 'mu' or 'nu'")
-    q = _class_probabilities(protocol)[j if which == "mu" else m + j]
-    return float(_box_caps(q, float(protocol.n_total), eps_a))
 
 
 @dataclass

@@ -21,11 +21,6 @@ from .numerics import binary_entropy, plob_bound
 from .simplex import solve_max, solve_separable
 
 
-class PhaseErrorInfeasible(RuntimeError):
-    """The phase-error LP has no feasible point; the protocol run must
-    abort with zero key."""
-
-
 @dataclass(frozen=True)
 class Diagnostics:
     """Per-analysis bookkeeping: outcome status ("ok", "infeasible",
@@ -61,14 +56,14 @@ class _Outcome(NamedTuple):
     e_bit: float
     n_ph_upper: float
     e_ph_upper: float
-    key_length: float | None
+    key_length: float
     diagnostics: Diagnostics
 
 
 def _evaluate(
     protocols: Sequence[ProtocolParams],
     observations: Sequence[ObservedCounts | None],
-    channel: ChannelParams | None,
+    channel: ChannelParams,
     budget: SecurityBudget,
     gap_scale: float = 1.0,
 ) -> list[_Outcome]:
@@ -79,8 +74,7 @@ def _evaluate(
     Several candidates' LPs are built together as per-class arrays
     (build_lps) and solved exactly from that structure (solve_separable),
     with no pivots. A candidate without signal detections or with an
-    infeasible LP gets zero key, with the cause as its status. Without a
-    channel the key length is None (the phase-error bound alone).
+    infeasible LP gets zero key, with the cause as its status.
     """
     detected = [counts is not None and counts.n_bit > 0.0 for counts in observations]
     kept = [k for k, ok in enumerate(detected) if ok]
@@ -115,28 +109,10 @@ def _evaluate(
             raise RuntimeError(f"unexpected LP status {sol.status!r}")
         n_ph = max(0.0, sol.objective_value * scale)
         e_ph = min(1.0, max(0.0, n_ph / n_bit))
-        key = key_length(n_bit, e_bit, e_ph, channel, budget) if channel is not None else None
+        key = key_length(n_bit, e_bit, e_ph, channel, budget)
         diagnostics = Diagnostics("ok", clamp_events, sol.iterations)
         outcomes.append(_Outcome(n_bit, e_bit, n_ph, e_ph, key, diagnostics))
     return outcomes
-
-
-def phase_error_upper_bound(
-    protocol: ProtocolParams,
-    counts: ObservedCounts,
-    budget: SecurityBudget,
-    gap_scale: float = 1.0,
-) -> tuple[float, float]:
-    """Maximum number of phase errors consistent with the observations, and
-    the corresponding rate (clamped to [0, 1])."""
-    (outcome,) = _evaluate([protocol], [counts], None, budget, gap_scale=gap_scale)
-    if outcome.diagnostics.status == "no_detections":
-        raise NoDetections("no signal detections: n_bit = 0")
-    if outcome.diagnostics.status == "infeasible":
-        raise PhaseErrorInfeasible(
-            "phase-error LP infeasible; observations violate the gap bounds"
-        )
-    return outcome.n_ph_upper, outcome.e_ph_upper
 
 
 def key_length(

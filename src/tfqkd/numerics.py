@@ -130,8 +130,6 @@ def folded_distinguishability(
     _check_fold_args(j, m_phases)
     if intensity_a < 0.0 or intensity_b < 0.0:
         raise ValueError("intensities must be >= 0")
-    if j > 0 and intensity_a == 0.0 and intensity_b == 0.0:
-        raise ValueError(f"degenerate folded class j={j}: both weights vanish")
     if intensity_a == intensity_b:
         return 0.0
     mean_a, mean_b = 2.0 * intensity_a, 2.0 * intensity_b
@@ -148,7 +146,12 @@ def folded_distinguishability(
         k += m_phases
     norm_sq = sum(a * a for a in amp_a) * sum(b * b for b in amp_b)
     if norm_sq == 0.0:
-        raise ValueError(f"degenerate folded class j={j}: both weights vanish")
+        # A class weight vanishes (a zero intensity, j > 0) or the product
+        # underflows (about 1e-200 each, e.g. j = 60 at intensity 0.005).
+        # The class is then prepared with probability 0 or about 1e-200, so
+        # its gap bound has n1 ~ 0 and s drops out; 1 is the conservative
+        # value.
+        return 1.0
     cross = 0.0
     for n in range(len(amp_a)):
         for m in range(n + 1, len(amp_a)):
@@ -158,9 +161,11 @@ def folded_distinguishability(
 
 
 def vacuum_distinguishability(intensity: float, m_phases: int) -> float:
-    """sqrt(1 - F^2) for the vacuum_fidelity ratio F = P(0)/folded(0),
-    cancellation-free: 1 - F is the folded tail weight over the class-0
-    weight, a ratio of directly summed positive terms."""
+    """sqrt(1 - F^2) for the overlap F between the vacuum and the folded
+    class-0 two-pulse state: P(0) over the folded class-0 weight, both at
+    Poisson mean 2*intensity. Cancellation-free: 1 - F is the folded tail
+    weight over the class-0 weight, a ratio of directly summed positive
+    terms."""
     if intensity < 0.0:
         raise ValueError("intensity must be >= 0")
     _check_fold_args(0, m_phases)
@@ -177,18 +182,6 @@ def vacuum_distinguishability(intensity: float, m_phases: int) -> float:
         k += m_phases
     one_minus_f = tail / folded_poisson(0, mean, m_phases)
     return math.sqrt(one_minus_f * (2.0 - one_minus_f))
-
-
-def vacuum_fidelity(intensity: float, m_phases: int) -> float:
-    """Fidelity-style overlap between the vacuum and the folded class-0
-    two-pulse state of the given per-pulse intensity: P(0) over the folded
-    class-0 weight, both at Poisson mean 2*intensity.
-    """
-    if intensity < 0.0:
-        raise ValueError("intensity must be >= 0")
-    _check_fold_args(0, m_phases)
-    mean = 2.0 * intensity
-    return poisson_pmf(0, mean) / folded_poisson(0, mean, m_phases)
 
 
 def chernoff_delta(x: float, y: float, z: float) -> Deviation:

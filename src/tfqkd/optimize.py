@@ -20,7 +20,7 @@ from .keyrate import KeyRateReport, _evaluate, analyze
 
 
 class EmptyFeasibleRegion(ValueError):
-    """No grid point satisfies p_mu + p_nu <= 1."""
+    """No point of the search box satisfies p_mu + p_nu <= 1."""
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,6 @@ def optimize_point(
         for outcome, cand in zip(_evaluate(candidates, observations, channel, budget), candidates):
             if best is None or outcome.key_length > best[0]:
                 best = (outcome.key_length, cand)
-        if best is None:
-            raise EmptyFeasibleRegion(
-                f"every grid point has p_mu + p_nu > 1 at L={l_km}"
-            )
         if round_idx < space.refinement_rounds:
             windows = _shrunk_windows(windows, best[1], space)
     params = best[1]

@@ -217,6 +217,13 @@ def solve_max(lp: LinearProgram) -> LPSolution:
     Identical inputs produce identical outputs: entering variables take the
     lowest eligible index and ratio-test ties resolve to the lowest basic
     variable index.
+
+    Known limits: on degenerate LPs (phase-error LPs built with gap_scale
+    0, or with class probabilities near 1e-200 at large M) the basis can
+    turn singular, and numpy.linalg.LinAlgError escapes.
+    The phase-one feasibility test is absolute (FEAS_TOL * max(1, max|b|)),
+    so on rescaled LPs whose right-hand sides sit far below 1 it can accept
+    a slightly infeasible LP and overestimate its optimum.
     """
     return _Tableau(lp).solve()
 

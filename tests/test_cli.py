@@ -1,10 +1,13 @@
 import importlib.util
 import json
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfqkd.cli import CSV_HEADER, ConfigError, load_config, main, parse_config
 from tfqkd.simplex import load_lp, solve_max
@@ -306,7 +309,9 @@ class TestAnalyzeCommand:
 
 
 class TestThreadPrecedence:
-    """--threads beats TFQKD_THREADS, which beats the config value."""
+    """--threads beats the config value. The environment takes no part: the
+    same argv reaches sweep with the same worker count whatever
+    TFQKD_THREADS holds."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -324,7 +329,7 @@ class TestThreadPrecedence:
     @pytest.mark.parametrize(
         "env, flag, expected",
         [
-            (None, None, 2), ("", None, 2), ("1", None, 1), ("3", None, 3), ("1", "4", 4),
+            (None, None, 2), ("", None, 2), ("1", None, 2), ("3", None, 2), ("1", "4", 4),
             (None, "1", 1), ("abc", "4", 4),
         ],
     )
@@ -339,15 +344,6 @@ class TestThreadPrecedence:
             argv += ["--threads", flag]
         assert main(argv) == 3
         assert seen == [expected]
-
-    @pytest.mark.parametrize("env", ["abc", "not-a-number", "-2", "1.5", "0"])
-    def test_bad_env_value_is_config_error(self, tmp_path, monkeypatch, capsys, seen, env):
-        monkeypatch.setenv("TFQKD_THREADS", env)
-        message = "must be >= 1" if env == "0" else f"expected an integer >= 1, got {env!r}"
-        assert_config_error(
-            tmp_path, capsys, base_config(optimize=True, threads=2), f"TFQKD_THREADS: {message}"
-        )
-        assert seen == []
 
 
 class TestSweepCommand:
@@ -423,6 +419,59 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[10]) > 0.0  # key_rate column
+
+
+# Draws from config.schema.json's domain: intensities at 0, 1e-6 and the
+# edges of the default search box, label probabilities at 0 and 1.
+INTENSITIES = st.sampled_from([0.0, 1e-6, 1e-4, 0.5]) | st.floats(0.0, 1.0)
+PROBABILITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def schema_configs(draw):
+    cfg = base_config(
+        n_phases=2 * draw(st.integers(1, 32)),
+        n_total=draw(st.integers(1, 10**16)),
+        distances=draw(st.sampled_from([[0.0, 40.0], [60.0], [200.0, 500.0]])),
+        mode=draw(st.sampled_from(["expected", "sampled"])),
+        seed=draw(st.integers(0, 2**32)),
+        optimize=draw(st.booleans()),
+        protocol={
+            "mu": draw(INTENSITIES), "nu": draw(INTENSITIES),
+            "p_mu": draw(PROBABILITIES), "p_nu": draw(PROBABILITIES),
+        },
+    )
+    if cfg["optimize"]:
+        cfg["search"] = {"grid_density": 3, "refinement_rounds": 0}
+    return cfg
+
+
+class TestSchemaDomain:
+    """A config the schema accepts runs (exit 0) or is a config error (exit
+    2); it never ends in an internal failure, and only a run writes files."""
+
+    @pytest.mark.parametrize(
+        "n_phases, protocol",
+        [(2, {"mu": 0.0}), (8, {"nu": 0.0}), (64, {"mu": 0.005})],
+    )
+    def test_degenerate_folded_classes_run(self, tmp_path, n_phases, protocol):
+        # Classes prepared with probability 0 (a zero intensity) or about
+        # 1e-200 (class 60 of 64 at mu = 0.005).
+        cfg = base_config(n_phases=n_phases)
+        cfg["protocol"].update(protocol)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert [row.split(",")[-1] for row in out.read_text().splitlines()[1:]] == ["ok", "ok"]
+
+    @given(schema_configs())
+    @settings(max_examples=80, deadline=None)
+    def test_exit_code_and_outputs(self, cfg):
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o.csv"
+            rc = main(["sweep", "--config", write_config(Path(tmp), cfg), "--out", str(out)])
+            assert rc in (0, 2)
+            assert out.exists() == out.with_suffix(".json").exists() == (rc == 0)
 
 
 class TestDumpLpCommand:

@@ -11,10 +11,7 @@ from tfqkd import (
     ProtocolParams,
     build_lp,
     expected_observations,
-    gap_bound_decoy,
-    gap_bound_vacuum,
     make_budget,
-    variable_upper_bound,
 )
 from tfqkd.constraints import budget_multiplier, build_lps, dump_lp
 from tfqkd.numerics import folded_distinguishability, folded_poisson, vacuum_distinguishability
@@ -23,6 +20,13 @@ from tfqkd.simplex import load_lp
 from lp_generators import brute_force_solve, first_search_round, sampled_low_n_round
 
 GOLDEN = Path(__file__).parent / "golden" / "lp_m8_table1_L100.txt"
+
+
+def box_cap(j, protocol, budget):
+    """Cap on the class-j signal yield, in counts (the boxes do not depend
+    on the observations)."""
+    lp = build_lp(protocol, ObservedCounts(1e6, 1e5, 1e3, 1e6, 0.03), budget)
+    return lp.upper[j] * lp.scale
 
 
 class TestBudget:
@@ -59,22 +63,22 @@ class TestBudget:
 
 class TestGapBounds:
     """Frozen expectations below come from tests/oracle_lp.py, an
-    independent mpmath assembly of the same constraints."""
+    independent mpmath assembly of the same constraints. An LP's gap_bounds
+    are vacuum_mu, vacuum_nu, then decoy_pair for classes 0..M-1."""
 
     def test_decoy_golden(self, channel, protocol_m8, budget_m8):
         counts = expected_observations(protocol_m8, channel, 100.0)
-        gb = gap_bound_decoy(1, protocol_m8, counts, budget_m8.eps_a)
+        gb = build_lp(protocol_m8, counts, budget_m8).gap_bounds[2 + 1]
         assert gb.coeff_left == pytest.approx(0.45241870902115899, rel=1e-12)
         assert gb.coeff_right == 1.0
         assert gb.delta == pytest.approx(193385.44635843871, rel=1e-9)
 
     def test_vacuum_golden(self, channel, protocol_m8, budget_m8):
         counts = expected_observations(protocol_m8, channel, 100.0)
-        gb_mu = gap_bound_vacuum("mu", protocol_m8, counts, budget_m8.eps_a)
+        gb_mu, gb_nu = build_lp(protocol_m8, counts, budget_m8).gap_bounds[:2]
         assert gb_mu.coeff_left == 1.0
         assert gb_mu.coeff_right == pytest.approx(0.1227967686750415, rel=1e-12)
         assert gb_mu.delta == pytest.approx(100448.13523342884, rel=1e-9)
-        gb_nu = gap_bound_vacuum("nu", protocol_m8, counts, budget_m8.eps_a)
         assert gb_nu.coeff_left == 1.0
         assert gb_nu.coeff_right == pytest.approx(0.54284567025894242, rel=1e-12)
         assert gb_nu.delta == pytest.approx(337410.6916761981, rel=1e-9)
@@ -84,7 +88,7 @@ class TestGapBounds:
         # pure statistical fluctuation (and the pair is a tie branch).
         proto = ProtocolParams(0.1, 0.1, 0.3, 0.3, 0.4, 8, int(1e12))
         counts = ObservedCounts(1e6, 1e6, 1e3, 1e6, 0.03)
-        gb = gap_bound_decoy(0, proto, counts, budget_m8.eps_a)
+        gb = build_lp(proto, counts, budget_m8).gap_bounds[2 + 0]
         assert gb.coeff_left == 1.0
         assert gb.coeff_right == 1.0
         # s = 0 kills the distinguishability term; what remains is the s=0
@@ -101,16 +105,16 @@ class TestGapBounds:
     def test_decoy_never_sent(self, budget_m8):
         proto = ProtocolParams(0.05, 0.1, 0.6, 0.0, 0.4, 8, int(1e12))
         counts = ObservedCounts(1e6, 0.0, 1e3, 1e6, 0.03)
-        gb = gap_bound_decoy(2, proto, counts, budget_m8.eps_a)
+        gb = build_lp(proto, counts, budget_m8).gap_bounds[2 + 2]
         assert gb.coeff_left == 0.0  # ratio of a vanished probability
         assert gb.coeff_right == 1.0
         assert gb.delta == 0.0
-        assert gb.clamped  # the residual trial count went negative
+        assert gb.clamp_events  # the residual trial count went negative
 
     def test_vacuum_never_chosen(self, budget_m8):
         proto = ProtocolParams(0.05, 0.1, 0.6, 0.4, 0.0, 8, int(1e12))
         counts = ObservedCounts(1e6, 1e5, 0.0, 1e6, 0.03)
-        gb = gap_bound_vacuum("mu", proto, counts, budget_m8.eps_a)
+        gb = build_lp(proto, counts, budget_m8).gap_bounds[0]
         assert gb.coeff_left == 1.0
         assert gb.coeff_right == 0.0
         assert gb.delta == 0.0
@@ -122,7 +126,7 @@ class TestGapBounds:
         deltas = []
         for beta in (1e-2, 1e-4, 1e-6):
             proto = ProtocolParams(beta, 0.1, 0.6, 0.3, 0.1, 8, int(1e12))
-            deltas.append(gap_bound_vacuum("mu", proto, counts, budget_m8.eps_a).delta)
+            deltas.append(build_lp(proto, counts, budget_m8).gap_bounds[0].delta)
         fluct_only = deltas[-1]
         assert deltas[0] > fluct_only
         assert deltas[1] == pytest.approx(fluct_only, rel=1e-2)
@@ -138,24 +142,23 @@ class TestGapBounds:
                 n_2mu, rng.uniform(0, 1e8), rng.uniform(0, 1e4),
                 n_2mu, rng.uniform(0, 0.5),
             )
-            for j in range(8):
-                assert gap_bound_decoy(j, proto, counts, budget_m8.eps_a).delta >= 0.0
-            for which in ("mu", "nu"):
-                assert gap_bound_vacuum(which, proto, counts, budget_m8.eps_a).delta >= 0.0
+            for gb in build_lp(proto, counts, budget_m8).gap_bounds:
+                assert gb.delta >= 0.0
 
     def test_scaling_sublinearity(self, channel, budget_m8):
         # scaling rounds and counts by k >= 1 scales each delta by <= k
         base = ProtocolParams(0.05, 0.1, 0.6, 0.3, 0.1, 8, int(1e10))
         counts = expected_observations(base, channel, 80.0)
+        decoy = build_lp(base, counts, budget_m8).gap_bounds[2:]
         for k in (2.0, 10.0, 100.0):
             scaled_proto = ProtocolParams(0.05, 0.1, 0.6, 0.3, 0.1, 8, int(1e10 * k))
             scaled_counts = ObservedCounts(
                 counts.n_2mu * k, counts.n_2nu * k, counts.n_0 * k,
                 counts.n_2mu * k, counts.e_bit,
             )
-            for j in range(8):
-                d1 = gap_bound_decoy(j, base, counts, budget_m8.eps_a).delta
-                dk = gap_bound_decoy(j, scaled_proto, scaled_counts, budget_m8.eps_a).delta
+            scaled = build_lp(scaled_proto, scaled_counts, budget_m8).gap_bounds[2:]
+            for gb1, gbk in zip(decoy, scaled):
+                d1, dk = gb1.delta, gbk.delta
                 assert dk <= k * d1 * (1.0 + 1e-12)
                 assert dk >= d1 * (1.0 - 1e-12)  # never shrinks with more data
 
@@ -163,15 +166,16 @@ class TestGapBounds:
 class TestVariableUpperBound:
     def test_label_never_chosen(self, budget_m8):
         proto = ProtocolParams(0.05, 0.1, 0.0, 0.6, 0.4, 8, int(1e12))
-        assert variable_upper_bound(0, "mu", proto, budget_m8.eps_a) == 0.0
+        assert box_cap(0, proto, budget_m8) == 0.0
 
     def test_loose_failure_probability_approaches_mean(self, protocol_m8):
         mean = 1e12 * (2 * 0.36 / 8) * folded_poisson(0, 0.1, 8)
-        bound = variable_upper_bound(0, "mu", protocol_m8, 1.0 - 1e-12)
+        loose = make_budget(n_phases=8, eps_cor=1e-10, eps_pa=1e-10, eps_a=1.0 - 1e-12)
+        bound = box_cap(0, protocol_m8, loose)
         assert bound == pytest.approx(mean, rel=1e-6)
 
     def test_golden_value(self, protocol_m8, budget_m8):
-        assert variable_upper_bound(0, "mu", protocol_m8, budget_m8.eps_a) == pytest.approx(
+        assert box_cap(0, protocol_m8, budget_m8) == pytest.approx(
             81438827400.160356, rel=1e-12
         )
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tfqkd import (
-    NoDetections,
     ObservedCounts,
     ProtocolParams,
     analyze,
@@ -13,7 +12,6 @@ from tfqkd import (
     end_to_end_plob,
     expected_observations,
     key_length,
-    phase_error_upper_bound,
 )
 from tfqkd import keyrate
 from tfqkd.keyrate import Diagnostics, _evaluate, _Outcome
@@ -45,13 +43,21 @@ GOOD_PARAMS_L200_1E14 = ProtocolParams(
 )
 
 
-class TestPhaseErrorUpperBound:
-    def test_no_detections(self, protocol_m8, budget_m8):
-        counts = ObservedCounts(0.0, 1e5, 1e3, 0.0, 0.0)
-        with pytest.raises(NoDetections):
-            phase_error_upper_bound(protocol_m8, counts, budget_m8)
+def lone_outcome(protocol, counts, channel, budget, gap_scale=1.0):
+    """The lone phase-error LP's outcome, by the path analyze takes
+    (build_lp and solve_max)."""
+    (outcome,) = _evaluate([protocol], [counts], channel, budget, gap_scale=gap_scale)
+    return outcome
 
-    def test_slack_gaps_leave_boxes_binding(self, budget_m8):
+
+class TestPhaseErrorUpperBound:
+    def test_no_detections(self, channel, protocol_m8, budget_m8):
+        counts = ObservedCounts(0.0, 1e5, 1e3, 0.0, 0.0)
+        outcome = lone_outcome(protocol_m8, counts, channel, budget_m8)
+        assert outcome.diagnostics == Diagnostics("no_detections")
+        assert outcome.n_ph_upper == outcome.key_length == 0.0
+
+    def test_slack_gaps_leave_boxes_binding(self, channel, budget_m8):
         # with the gap bounds inflated to irrelevance, the LP packs every
         # even class to its box; the analytic optimum is the even box sum
         proto = ProtocolParams(0.05, 0.1, 0.6, 0.3, 0.1, 8, int(1e12))
@@ -60,7 +66,8 @@ class TestPhaseErrorUpperBound:
         # a count at 0.95 of the cap forces the even boxes to bind
         n_2mu = 0.95 * mean_total
         counts = ObservedCounts(n_2mu, 1e8, 1e3, n_2mu, 0.03)
-        n_ph, e_ph = phase_error_upper_bound(proto, counts, budget_m8, gap_scale=1e9)
+        outcome = lone_outcome(proto, counts, channel, budget_m8, gap_scale=1e9)
+        n_ph, e_ph = outcome.n_ph_upper, outcome.e_ph_upper
         log_term = 3.0 * math.log(1.0 / budget_m8.eps_a)
         want = 0.0
         for j in (0, 2, 4, 6):
@@ -71,14 +78,15 @@ class TestPhaseErrorUpperBound:
 
     def test_full_pipeline_golden(self, channel, budget_m8):
         counts = expected_observations(GOLDEN_PARAMS_L100, channel, 100.0)
-        n_ph, e_ph = phase_error_upper_bound(GOLDEN_PARAMS_L100, counts, budget_m8)
+        outcome = lone_outcome(GOLDEN_PARAMS_L100, counts, channel, budget_m8)
+        n_ph, e_ph = outcome.n_ph_upper, outcome.e_ph_upper
         assert e_ph == pytest.approx(GOLDEN_EPH_L100, rel=1e-9)
         assert n_ph == pytest.approx(e_ph * counts.n_bit, rel=1e-12)
 
     def test_ratio_in_unit_interval(self, channel, budget_m8, protocol_m8):
         for l_km in (10.0, 100.0, 300.0):
             counts = expected_observations(protocol_m8, channel, l_km)
-            _, e_ph = phase_error_upper_bound(protocol_m8, counts, budget_m8)
+            e_ph = lone_outcome(protocol_m8, counts, channel, budget_m8).e_ph_upper
             assert 0.0 <= e_ph <= 1.0
 
 

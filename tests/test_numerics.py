@@ -16,11 +16,17 @@ from tfqkd.numerics import (
     plob_bound,
     poisson_pmf,
     vacuum_distinguishability,
-    vacuum_fidelity,
 )
 
 # Golden values below were computed once with mpmath at 50 decimal digits
 # (see tests/oracle_lp.py for the shared helpers) and frozen.
+
+
+def vacuum_fidelity(intensity, m_phases):
+    """Overlap F between the vacuum and the folded class-0 two-pulse state:
+    P(0) over the folded class-0 weight, both at Poisson mean 2*intensity.
+    vacuum_distinguishability is sqrt(1 - F^2)."""
+    return poisson_pmf(0, 2.0 * intensity) / folded_poisson(0, 2.0 * intensity, m_phases)
 
 
 class TestBinaryEntropy:
@@ -131,6 +137,7 @@ class TestFoldedFidelity:
 class TestFoldedDistinguishability:
     def test_identical_states(self):
         assert folded_distinguishability(3, 0.2, 0.2, 8) == 0.0
+        assert folded_distinguishability(3, 0.0, 0.0, 8) == 0.0
 
     def test_golden_values(self):
         assert folded_distinguishability(0, 0.05, 0.1, 8) == pytest.approx(
@@ -139,6 +146,15 @@ class TestFoldedDistinguishability:
         assert folded_distinguishability(1, 0.05, 0.4, 8) == pytest.approx(
             0.00067978611447266171, rel=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "j, a, b, m", [(1, 0.0, 0.1, 2), (3, 0.05, 0.0, 8), (60, 0.005, 0.1, 64)]
+    )
+    def test_vanishing_class_weight(self, j, a, b, m):
+        # A zero intensity leaves class j > 0 empty; at j = 60 the weights
+        # (about 1e-202 and 1e-124) multiply to an underflow. Either way the
+        # conservative value is returned.
+        assert folded_distinguishability(j, a, b, m) == 1.0
 
     def test_bounds(self):
         rng = np.random.default_rng(11)
@@ -157,15 +173,16 @@ class TestVacuumFidelity:
         assert vacuum_fidelity(0.1, 8) == pytest.approx(0.99999999993650794, abs=1e-13)
 
     def test_composed_from_primitives(self):
-        # ratio of the zero-photon probability to the folded class-0 weight,
-        # both at the doubled two-pulse mean
-        got = vacuum_fidelity(0.1, 8)
-        want = poisson_pmf(0, 0.2) / folded_poisson(0, 0.2, 8)
-        assert got == want
+        # away from F ~ 1 the direct sqrt(1 - F^2) is well conditioned
+        f = vacuum_fidelity(1.0, 8)
+        assert vacuum_distinguishability(1.0, 8) == pytest.approx(
+            math.sqrt(1.0 - f * f), rel=1e-9
+        )
 
     @pytest.mark.parametrize("intensity", [0.01, 0.1, 0.5, 1.0])
     def test_in_unit_interval(self, intensity):
         assert 0.0 <= vacuum_fidelity(intensity, 8) <= 1.0
+        assert 0.0 <= vacuum_distinguishability(intensity, 8) <= 1.0
 
     def test_vacuum_distinguishability_golden(self):
         assert vacuum_distinguishability(0.05, 8) == pytest.approx(
