@@ -3,7 +3,6 @@ randomization."""
 
 from .channel import (
     ChannelParams,
-    NoDetections,
     ObservedCounts,
     ProtocolParams,
     click_probabilities,
@@ -49,7 +48,6 @@ __all__ = [
     "KeyRateReport",
     "LPSolution",
     "LinearProgram",
-    "NoDetections",
     "ObservedCounts",
     "ProtocolParams",
     "SearchSpace",

@@ -10,11 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NoDetections(RuntimeError):
-    """The signal intensity produces no clicks at all, so the bit error
-    rate (and any key) is undefined."""
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Physical channel and detector parameters.
@@ -86,20 +81,22 @@ class ProtocolParams:
 @dataclass(frozen=True)
 class ObservedCounts:
     """Retained-round counts (expectations or samples) and the signal-mode
-    bit error rate. n_bit always equals n_2mu."""
+    bit error rate. A signal that never clicks has n_2mu = 0 and e_bit = 0."""
 
     n_2mu: float
     n_2nu: float
     n_0: float
-    n_bit: float
     e_bit: float
 
+    @property
+    def n_bit(self) -> float:
+        """Sifted key bits: every retained signal click gives one."""
+        return self.n_2mu
+
     def __post_init__(self):
-        for name in ("n_2mu", "n_2nu", "n_0", "n_bit"):
+        for name in ("n_2mu", "n_2nu", "n_0"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.n_bit != self.n_2mu:
-            raise ValueError("n_bit must equal n_2mu")
         if not 0.0 <= self.e_bit <= 1.0:
             raise ValueError(f"e_bit={self.e_bit} outside [0, 1]")
 
@@ -152,8 +149,8 @@ def expected_observations(
     """Mean retained-round counts for the given distance.
 
     Counts are kept real-valued (the analysis consumes expectations
-    directly). Raises NoDetections when the signal intensity cannot click
-    at all, leaving e_bit undefined.
+    directly). When the signal cannot click at all (mu = 0 and p_d = 0),
+    n_2mu and e_bit are 0, as when sample_observations draws no click.
     """
     eta = half_channel_transmittance(l_km, channel, include_detector=detector_in_eta)
     n = float(protocol.n_total)
@@ -164,14 +161,11 @@ def expected_observations(
     qc_0, qe_0 = click_probabilities(0.0, eta, channel)
 
     q_mu = qc_mu + qe_mu
-    if q_mu == 0.0:
-        raise NoDetections("signal rounds never click; e_bit undefined")
-
     n_2mu = n * protocol.p_mu**2 * 2.0 * q_mu / m
     n_2nu = n * protocol.p_nu**2 * 2.0 * (qc_nu + qe_nu) / m
     n_0 = n * protocol.p_o**2 * (qc_0 + qe_0)
-    e_bit = qe_mu / q_mu
-    return ObservedCounts(n_2mu=n_2mu, n_2nu=n_2nu, n_0=n_0, n_bit=n_2mu, e_bit=e_bit)
+    e_bit = qe_mu / q_mu if q_mu > 0.0 else 0.0
+    return ObservedCounts(n_2mu=n_2mu, n_2nu=n_2nu, n_0=n_0, e_bit=e_bit)
 
 
 def sample_observations(
@@ -193,4 +187,4 @@ def sample_observations(
         e_bit = float(rng.binomial(int(n_2mu), mean.e_bit)) / n_2mu
     else:
         e_bit = 0.0
-    return ObservedCounts(n_2mu=n_2mu, n_2nu=n_2nu, n_0=n_0, n_bit=n_2mu, e_bit=e_bit)
+    return ObservedCounts(n_2mu=n_2mu, n_2nu=n_2nu, n_0=n_0, e_bit=e_bit)

@@ -320,7 +320,8 @@ def run_analyze(config: RunConfig) -> int:
 def run_dump_lp(config: RunConfig, l_km: float) -> int:
     """Write the debug LP matrix at one distance to config.output for
     external cross-checks: the LP that `tfqkd analyze` at that distance
-    solves, sampled counts included."""
+    builds, sampled counts included. A signal that never clicks gives the
+    LP of its zero counts, which analyze reports as no_detections."""
     if config.optimize:
         params, _ = optimize_point(
             config.channel, l_km, config.n_phases, config.n_total,

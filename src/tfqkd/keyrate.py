@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 from .channel import (
     ChannelParams,
-    NoDetections,
     ObservedCounts,
     ProtocolParams,
     expected_observations,
@@ -62,21 +61,21 @@ class _Outcome(NamedTuple):
 
 def _evaluate(
     protocols: Sequence[ProtocolParams],
-    observations: Sequence[ObservedCounts | None],
+    observations: Sequence[ObservedCounts],
     channel: ChannelParams,
     budget: SecurityBudget,
     gap_scale: float = 1.0,
 ) -> list[_Outcome]:
     """Phase-error bound and key length of each candidate protocol from its
-    observations (None for a candidate whose signal cannot click).
+    observations.
 
     A single candidate's LP is built by build_lp and solved by solve_max.
     Several candidates' LPs are built together as per-class arrays
     (build_lps) and solved exactly from that structure (solve_separable),
-    with no pivots. A candidate without signal detections or with an
-    infeasible LP gets zero key, with the cause as its status.
+    with no pivots. A candidate without signal detections (n_bit = 0) or
+    with an infeasible LP gets zero key, with the cause as its status.
     """
-    detected = [counts is not None and counts.n_bit > 0.0 for counts in observations]
+    detected = [counts.n_bit > 0.0 for counts in observations]
     kept = [k for k, ok in enumerate(detected) if ok]
     if len(protocols) == 1:
         # bench/tracing.py counts LP builds, optimize.lp_solves and
@@ -96,7 +95,7 @@ def _evaluate(
     solved = iter(zip(solutions, built))
     outcomes = []
     for counts, ok in zip(observations, detected):
-        n_bit, e_bit = (counts.n_bit, counts.e_bit) if counts is not None else (0.0, 0.0)
+        n_bit, e_bit = counts.n_bit, counts.e_bit
         if not ok:
             outcomes.append(_Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, Diagnostics("no_detections")))
             continue
@@ -162,7 +161,7 @@ def observe(
     detector_in_eta: bool,
 ) -> ObservedCounts:
     """The observations analyze works from: the expected counts, or counts
-    sampled with `seed`. Raises NoDetections when the signal cannot click."""
+    sampled with `seed`. A signal that cannot click gives zero counts."""
     if mode == "expected":
         return expected_observations(protocol, channel, l_km, detector_in_eta=detector_in_eta)
     if mode == "sampled":
@@ -184,10 +183,7 @@ def analyze(
     """Full pipeline at one distance: observations, phase-error LP, key
     length. Degenerate observations and LP infeasibility are folded into a
     zero-key report with the cause recorded in the diagnostics."""
-    try:
-        counts = observe(protocol, channel, l_km, mode, seed, detector_in_eta)
-    except NoDetections:
-        counts = None
+    counts = observe(protocol, channel, l_km, mode, seed, detector_in_eta)
     (outcome,) = _evaluate([protocol], [counts], channel, budget, gap_scale=gap_scale)
     return KeyRateReport(
         l_km=l_km,

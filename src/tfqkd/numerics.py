@@ -63,56 +63,53 @@ def _check_fold_args(j: int, m_phases: int) -> None:
         raise ValueError(f"phase class j={j} outside [0, {m_phases - 1}]")
 
 
-def folded_poisson(j: int, mean: float, m_phases: int) -> float:
-    """Total Poisson weight of the folded photon-number class j (mod M).
-
-    Sums P(j + M*n) for n = 0, 1, ... with a deterministic truncation:
-    the sum stops at the first term that is both below TAIL_CUTOFF and
-    past the distribution mean.
-    """
-    _check_fold_args(j, m_phases)
-    total = 0.0
+def _class_terms(j: int, means: tuple[float, ...], m_phases: int) -> list[list[float]]:
+    """The folded series of class j: one row [P(k) at each of `means`] for
+    k = j, j + M, j + 2M, ..., ending with the first k that is past every
+    mean and where every term is below TAIL_CUTOFF."""
+    top = max(means)
+    rows = []
     k = j
     while True:
-        term = poisson_pmf(k, mean)
-        total += term
-        if term < TAIL_CUTOFF and k > mean:
-            return total
+        row = [poisson_pmf(k, mean) for mean in means]
+        rows.append(row)
+        if k > top and max(row) < TAIL_CUTOFF:
+            return rows
         k += m_phases
+
+
+def folded_poisson(j: int, mean: float, m_phases: int) -> float:
+    """Total Poisson weight of the folded photon-number class j (mod M):
+    P(j + M*n) summed over n = 0, 1, ... up to the truncation of
+    _class_terms."""
+    _check_fold_args(j, m_phases)
+    total = 0.0
+    for (term,) in _class_terms(j, (mean,), m_phases):
+        total += term
+    return total
 
 
 def folded_fidelity(j: int, intensity_a: float, intensity_b: float, m_phases: int) -> float:
     """Fidelity between the two folded two-pulse states of class j prepared
     with per-pulse intensities a and b (Poisson means 2a and 2b).
 
-    Equals 1 when the intensities coincide. Raises on the degenerate case
-    where both folded weights vanish (only possible for j > 0 with both
-    intensities zero).
+    Equals 1 when the intensities coincide. Where a class weight vanishes
+    (j > 0 at a zero intensity) or the product of the two weights
+    underflows, returns 0, the value that matches folded_distinguishability's
+    conservative 1 there.
     """
     _check_fold_args(j, m_phases)
     if intensity_a < 0.0 or intensity_b < 0.0:
         raise ValueError("intensities must be >= 0")
-    if j > 0 and intensity_a == 0.0 and intensity_b == 0.0:
-        raise ValueError(f"degenerate folded class j={j}: both weights vanish")
     if intensity_a == intensity_b:
         return 1.0
-    mean_a, mean_b = 2.0 * intensity_a, 2.0 * intensity_b
-    wa = folded_poisson(j, mean_a, m_phases)
-    wb = folded_poisson(j, mean_b, m_phases)
-    if wa == 0.0 or wb == 0.0:
-        raise ValueError(
-            f"degenerate folded class j={j}: both weights vanish "
-            f"(intensities {intensity_a}, {intensity_b})"
-        )
-    overlap = 0.0
-    k = j
-    while True:
-        pa = poisson_pmf(k, mean_a)
-        pb = poisson_pmf(k, mean_b)
+    wa = wb = overlap = 0.0
+    for pa, pb in _class_terms(j, (2.0 * intensity_a, 2.0 * intensity_b), m_phases):
+        wa += pa
+        wb += pb
         overlap += math.sqrt(pa) * math.sqrt(pb)
-        if pa < TAIL_CUTOFF and pb < TAIL_CUTOFF and k > max(mean_a, mean_b):
-            break
-        k += m_phases
+    if wa * wb == 0.0:
+        return 0.0
     return min(1.0, overlap / math.sqrt(wa * wb))
 
 
@@ -132,19 +129,14 @@ def folded_distinguishability(
         raise ValueError("intensities must be >= 0")
     if intensity_a == intensity_b:
         return 0.0
-    mean_a, mean_b = 2.0 * intensity_a, 2.0 * intensity_b
-    amp_a: list[float] = []
-    amp_b: list[float] = []
-    k = j
-    while True:
-        pa = poisson_pmf(k, mean_a)
-        pb = poisson_pmf(k, mean_b)
-        amp_a.append(math.sqrt(pa))
-        amp_b.append(math.sqrt(pb))
-        if pa < TAIL_CUTOFF and pb < TAIL_CUTOFF and k > max(mean_a, mean_b):
-            break
-        k += m_phases
-    norm_sq = sum(a * a for a in amp_a) * sum(b * b for b in amp_b)
+    rows = _class_terms(j, (2.0 * intensity_a, 2.0 * intensity_b), m_phases)
+    amp_a = [math.sqrt(pa) for pa, _ in rows]
+    amp_b = [math.sqrt(pb) for _, pb in rows]
+    norm_a = norm_b = 0.0
+    for a, b in zip(amp_a, amp_b):
+        norm_a += a * a
+        norm_b += b * b
+    norm_sq = norm_a * norm_b
     if norm_sq == 0.0:
         # A class weight vanishes (a zero intensity, j > 0) or the product
         # underflows (about 1e-200 each, e.g. j = 60 at intensity 0.005).
@@ -165,22 +157,19 @@ def vacuum_distinguishability(intensity: float, m_phases: int) -> float:
     class-0 two-pulse state: P(0) over the folded class-0 weight, both at
     Poisson mean 2*intensity. Cancellation-free: 1 - F is the folded tail
     weight over the class-0 weight, a ratio of directly summed positive
-    terms."""
+    terms of the same class-0 series."""
     if intensity < 0.0:
         raise ValueError("intensity must be >= 0")
     _check_fold_args(0, m_phases)
     mean = 2.0 * intensity
     if mean == 0.0:
         return 0.0
-    tail = 0.0
-    k = m_phases
-    while True:
-        term = poisson_pmf(k, mean)
+    (vacuum,), *tail_rows = _class_terms(0, (mean,), m_phases)
+    tail, total = 0.0, vacuum
+    for (term,) in tail_rows:
         tail += term
-        if term < TAIL_CUTOFF and k > mean:
-            break
-        k += m_phases
-    one_minus_f = tail / folded_poisson(0, mean, m_phases)
+        total += term
+    one_minus_f = tail / total
     return math.sqrt(one_minus_f * (2.0 - one_minus_f))
 
 

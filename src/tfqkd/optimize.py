@@ -9,12 +9,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .channel import (
-    ChannelParams,
-    NoDetections,
-    ProtocolParams,
-    expected_observations,
-)
+from .channel import ChannelParams, ProtocolParams, expected_observations
 from .constraints import SecurityBudget
 from .keyrate import KeyRateReport, _evaluate, analyze
 
@@ -137,14 +132,10 @@ def optimize_point(
                 continue
             p_o = max(0.0, 1.0 - p_mu - p_nu)
             cand = ProtocolParams(mu, nu, p_mu, p_nu, p_o, n_phases, int(n_total))
-            try:
-                counts = expected_observations(
-                    cand, channel, l_km, detector_in_eta=detector_in_eta
-                )
-            except NoDetections:
-                counts = None
             candidates.append(cand)
-            observations.append(counts)
+            observations.append(
+                expected_observations(cand, channel, l_km, detector_in_eta=detector_in_eta)
+            )
         for outcome, cand in zip(_evaluate(candidates, observations, channel, budget), candidates):
             if best is None or outcome.key_length > best[0]:
                 best = (outcome.key_length, cand)

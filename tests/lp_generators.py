@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from tfqkd import ChannelParams, ProtocolParams, build_lp, expected_observations, make_budget
-from tfqkd.channel import NoDetections, sample_observations
+from tfqkd.channel import sample_observations
 from tfqkd.constraints import LinearProgram, LPBatch
 from tfqkd.optimize import _geom_grid, _lin_grid
 from tfqkd.simplex import LPSolution
@@ -74,13 +74,10 @@ def random_round(rng, n_phases, n_total, size):
         p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
         proto = ProtocolParams.make(mu, nu, p_mu, p_nu, n_phases, n_total)
         l_km = float(rng.uniform(0, 450))
-        try:
-            if rng.random() < 0.5:
-                counts = expected_observations(proto, TABLE1, l_km)
-            else:
-                counts = sample_observations(proto, TABLE1, l_km, int(rng.integers(1000)))
-        except NoDetections:
-            continue
+        if rng.random() < 0.5:
+            counts = expected_observations(proto, TABLE1, l_km)
+        else:
+            counts = sample_observations(proto, TABLE1, l_km, int(rng.integers(1000)))
         if counts.n_bit <= 0.0:
             continue
         if rng.random() < 1 / 30:
@@ -99,12 +96,8 @@ def sampled_low_n_round(channel, n_total):
         mu, nu = rng.uniform(0.01, 0.4, size=2)
         p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
         proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(n_total))
-        try:
-            counts = sample_observations(proto, channel, float(rng.uniform(0, 60)), seed)
-        except NoDetections:
-            continue
         candidates.append(proto)
-        observations.append(counts)
+        observations.append(sample_observations(proto, channel, float(rng.uniform(0, 60)), seed))
     return candidates, observations
 
 

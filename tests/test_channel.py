@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from tfqkd import (
     ChannelParams,
-    NoDetections,
     ObservedCounts,
     ProtocolParams,
     click_probabilities,
@@ -40,8 +39,8 @@ class TestParamValidation:
         assert p.p_o == pytest.approx(0.1, abs=1e-15)
 
     def test_counts_tie_n_bit_to_signal(self):
-        with pytest.raises(ValueError):
-            ObservedCounts(n_2mu=10.0, n_2nu=5.0, n_0=1.0, n_bit=9.0, e_bit=0.1)
+        counts = ObservedCounts(n_2mu=10.0, n_2nu=5.0, n_0=1.0, e_bit=0.1)
+        assert counts.n_bit == counts.n_2mu == 10.0
 
 
 class TestHalfChannelTransmittance:
@@ -96,10 +95,15 @@ class TestClickProbabilities:
 
 class TestExpectedObservations:
     def test_no_clicks_degenerate(self):
+        # A signal that never clicks gives zero signal counts, e_bit 0, in
+        # both modes; the decoy still clicks.
         ch = ChannelParams(e_m=0.03, p_d=0.0, xi=0.2, eta_d=0.3, f_ec=1.1)
         proto = ProtocolParams(0.0, 0.1, 0.6, 0.3, 0.1, 8, 1000)
-        with pytest.raises(NoDetections):
-            expected_observations(proto, ch, 100.0)
+        obs = expected_observations(proto, ch, 100.0)
+        assert (obs.n_2mu, obs.n_bit, obs.e_bit) == (0.0, 0.0, 0.0)
+        assert obs.n_2nu > 0.0
+        drawn = sample_observations(proto, ch, 100.0, seed=3)
+        assert (drawn.n_2mu, drawn.n_bit, drawn.e_bit) == (0.0, 0.0, 0.0)
 
     def test_unused_labels_give_zero_counts(self, channel):
         proto = ProtocolParams(0.05, 0.1, 1.0, 0.0, 0.0, 8, int(1e10))

@@ -469,9 +469,15 @@ class TestSchemaDomain:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "o.csv"
-            rc = main(["sweep", "--config", write_config(Path(tmp), cfg), "--out", str(out)])
+            cfg_path = write_config(Path(tmp), cfg)
+            rc = main(["sweep", "--config", cfg_path, "--out", str(out)])
             assert rc in (0, 2)
             assert out.exists() == out.with_suffix(".json").exists() == (rc == 0)
+            lp = Path(tmp) / "lp.txt"
+            distance = str(cfg["distances"][0])
+            rc = main(["dump-lp", "--config", cfg_path, "--out", str(lp), "--distance", distance])
+            assert rc in (0, 2)
+            assert lp.exists() == (rc == 0)
 
 
 class TestDumpLpCommand:
@@ -520,6 +526,22 @@ class TestDumpLpCommand:
         sol = solve_max(lp)
         assert entry["status"] == "ok" and sol.status == "optimal"
         assert max(0.0, sol.objective_value * lp.scale) == entry["n_ph_upper"]
+
+    @pytest.mark.parametrize("mode", ["expected", "sampled"])
+    def test_signal_that_never_clicks(self, tmp_path, mode):
+        # With p_d = 0 and mu = 0 the signal never clicks: the dump is the
+        # LP of the zero signal count, and analyze reports no detections.
+        cfg = base_config(mode=mode, distances=[50.0])
+        cfg["channel"]["p_d"] = 0.0
+        cfg["protocol"]["mu"] = 0.0
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "lp.txt"
+        assert main(["dump-lp", "--config", cfg_path, "--out", str(out), "--distance", "50"]) == 0
+        lp = load_lp(out)
+        assert lp.num_vars == 4
+        assert main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "a.csv")]) == 0
+        row = (tmp_path / "a.csv").read_text().splitlines()[1].split(",")
+        assert (float(row[6]), row[-1]) == (0.0, "no_detections")
 
     def test_malformed_output_path(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())

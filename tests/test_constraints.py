@@ -25,7 +25,7 @@ GOLDEN = Path(__file__).parent / "golden" / "lp_m8_table1_L100.txt"
 def box_cap(j, protocol, budget):
     """Cap on the class-j signal yield, in counts (the boxes do not depend
     on the observations)."""
-    lp = build_lp(protocol, ObservedCounts(1e6, 1e5, 1e3, 1e6, 0.03), budget)
+    lp = build_lp(protocol, ObservedCounts(1e6, 1e5, 1e3, 0.03), budget)
     return lp.upper[j] * lp.scale
 
 
@@ -87,7 +87,7 @@ class TestGapBounds:
         # mu == nu and p_mu == p_nu: the states coincide, so the bound is
         # pure statistical fluctuation (and the pair is a tie branch).
         proto = ProtocolParams(0.1, 0.1, 0.3, 0.3, 0.4, 8, int(1e12))
-        counts = ObservedCounts(1e6, 1e6, 1e3, 1e6, 0.03)
+        counts = ObservedCounts(1e6, 1e6, 1e3, 0.03)
         gb = build_lp(proto, counts, budget_m8).gap_bounds[2 + 0]
         assert gb.coeff_left == 1.0
         assert gb.coeff_right == 1.0
@@ -104,7 +104,7 @@ class TestGapBounds:
 
     def test_decoy_never_sent(self, budget_m8):
         proto = ProtocolParams(0.05, 0.1, 0.6, 0.0, 0.4, 8, int(1e12))
-        counts = ObservedCounts(1e6, 0.0, 1e3, 1e6, 0.03)
+        counts = ObservedCounts(1e6, 0.0, 1e3, 0.03)
         gb = build_lp(proto, counts, budget_m8).gap_bounds[2 + 2]
         assert gb.coeff_left == 0.0  # ratio of a vanished probability
         assert gb.coeff_right == 1.0
@@ -113,7 +113,7 @@ class TestGapBounds:
 
     def test_vacuum_never_chosen(self, budget_m8):
         proto = ProtocolParams(0.05, 0.1, 0.6, 0.4, 0.0, 8, int(1e12))
-        counts = ObservedCounts(1e6, 1e5, 0.0, 1e6, 0.03)
+        counts = ObservedCounts(1e6, 1e5, 0.0, 0.03)
         gb = build_lp(proto, counts, budget_m8).gap_bounds[0]
         assert gb.coeff_left == 1.0
         assert gb.coeff_right == 0.0
@@ -122,7 +122,7 @@ class TestGapBounds:
     def test_vanishing_intensity_limit(self, budget_m8):
         # beta -> 0 makes the class-0 state approach the vacuum; the
         # distinguishability contribution must vanish smoothly
-        counts = ObservedCounts(1e6, 1e5, 1e3, 1e6, 0.03)
+        counts = ObservedCounts(1e6, 1e5, 1e3, 0.03)
         deltas = []
         for beta in (1e-2, 1e-4, 1e-6):
             proto = ProtocolParams(beta, 0.1, 0.6, 0.3, 0.1, 8, int(1e12))
@@ -139,8 +139,7 @@ class TestGapBounds:
             proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(1e10))
             n_2mu = rng.uniform(0, 1e8)
             counts = ObservedCounts(
-                n_2mu, rng.uniform(0, 1e8), rng.uniform(0, 1e4),
-                n_2mu, rng.uniform(0, 0.5),
+                n_2mu, rng.uniform(0, 1e8), rng.uniform(0, 1e4), rng.uniform(0, 0.5),
             )
             for gb in build_lp(proto, counts, budget_m8).gap_bounds:
                 assert gb.delta >= 0.0
@@ -153,8 +152,7 @@ class TestGapBounds:
         for k in (2.0, 10.0, 100.0):
             scaled_proto = ProtocolParams(0.05, 0.1, 0.6, 0.3, 0.1, 8, int(1e10 * k))
             scaled_counts = ObservedCounts(
-                counts.n_2mu * k, counts.n_2nu * k, counts.n_0 * k,
-                counts.n_2mu * k, counts.e_bit,
+                counts.n_2mu * k, counts.n_2nu * k, counts.n_0 * k, counts.e_bit,
             )
             scaled = build_lp(scaled_proto, scaled_counts, budget_m8).gap_bounds[2:]
             for gb1, gbk in zip(decoy, scaled):
@@ -227,9 +225,7 @@ class TestBuildLp:
         proto_a = ProtocolParams(0.05, 0.1, 0.6, 0.3, 0.1, 2, int(1e10))
         counts_a = expected_observations(proto_a, channel, 60.0)
         proto_b = ProtocolParams(0.1, 0.05, 0.3, 0.6, 0.1, 2, int(1e10))
-        counts_b = ObservedCounts(
-            counts_a.n_2nu, counts_a.n_2mu, counts_a.n_0, counts_a.n_2nu, counts_a.e_bit
-        )
+        counts_b = ObservedCounts(counts_a.n_2nu, counts_a.n_2mu, counts_a.n_0, counts_a.e_bit)
         lp_a = build_lp(proto_a, counts_a, budget_m2)
         lp_b = build_lp(proto_b, counts_b, budget_m2)
         m = 2
@@ -372,7 +368,7 @@ class TestBuildLps:
     def test_infeasible_and_no_detection_members(self, channel, budget_m8, protocol_m8):
         counts = expected_observations(protocol_m8, channel, 120.0)
         infeasible = dataclasses.replace(counts, n_2nu=3.0 * counts.n_2nu)
-        no_detection = ObservedCounts(0.0, counts.n_2nu, counts.n_0, 0.0, 0.0)
+        no_detection = ObservedCounts(0.0, counts.n_2nu, counts.n_0, 0.0)
         assert_members_are_lone_builds(
             [protocol_m8] * 3, [counts, infeasible, no_detection], budget_m8
         )
@@ -389,7 +385,7 @@ class TestBuildLps:
         # and a zero vacuum coefficient (p_o = 0) leaves the box whole.
         candidates, observations = first_search_round(channel, 8, 1e12, 240.0)
         counts = expected_observations(protocol_m8, channel, 120.0)
-        bad = ObservedCounts(counts.n_2mu, counts.n_2nu, 1e11, counts.n_2mu, counts.e_bit)
+        bad = ObservedCounts(counts.n_2mu, counts.n_2nu, 1e11, counts.e_bit)
         no_vacuum = ProtocolParams.make(0.05, 0.1, 0.75, 0.25, 8, int(1e12))
         candidates += [protocol_m8, no_vacuum]
         observations += [bad, expected_observations(no_vacuum, channel, 120.0)]

@@ -52,7 +52,7 @@ def lone_outcome(protocol, counts, channel, budget, gap_scale=1.0):
 
 class TestPhaseErrorUpperBound:
     def test_no_detections(self, channel, protocol_m8, budget_m8):
-        counts = ObservedCounts(0.0, 1e5, 1e3, 0.0, 0.0)
+        counts = ObservedCounts(0.0, 1e5, 1e3, 0.0)
         outcome = lone_outcome(protocol_m8, counts, channel, budget_m8)
         assert outcome.diagnostics == Diagnostics("no_detections")
         assert outcome.n_ph_upper == outcome.key_length == 0.0
@@ -65,7 +65,7 @@ class TestPhaseErrorUpperBound:
         # the even folded classes hold ~0.909 of the weight at this mean, so
         # a count at 0.95 of the cap forces the even boxes to bind
         n_2mu = 0.95 * mean_total
-        counts = ObservedCounts(n_2mu, 1e8, 1e3, n_2mu, 0.03)
+        counts = ObservedCounts(n_2mu, 1e8, 1e3, 0.03)
         outcome = lone_outcome(proto, counts, channel, budget_m8, gap_scale=1e9)
         n_ph, e_ph = outcome.n_ph_upper, outcome.e_ph_upper
         log_term = 3.0 * math.log(1.0 / budget_m8.eps_a)
@@ -188,7 +188,7 @@ class TestAnalyze:
     ):
         # an absurd vacuum count contradicts the class-0 anchors
         counts = expected_observations(protocol_m8, channel, 100.0)
-        bad = ObservedCounts(counts.n_2mu, counts.n_2nu, 1e11, counts.n_2mu, counts.e_bit)
+        bad = ObservedCounts(counts.n_2mu, counts.n_2nu, 1e11, counts.e_bit)
         monkeypatch.setattr(keyrate, "observe", lambda *args: bad)
         report = analyze(protocol_m8, channel, 100.0, budget_m8)
         lp = build_lp(protocol_m8, bad, budget_m8)
@@ -228,7 +228,7 @@ class TestAnalyze:
         diagnostics = Diagnostics("infeasible", lp.clamp_events, 0)
         expected.append((bad.n_bit, bad.e_bit, 0.0, 0.0, 0.0, diagnostics))
         candidates.append(candidates[0])
-        observations.append(None)  # no detections
+        observations.append(ObservedCounts(0.0, 1e5, 1e3, 0.0))  # no detections
         expected.append((0.0, 0.0, 0.0, 0.0, 0.0, Diagnostics("no_detections")))
         got = _evaluate(candidates, observations, channel, budget_m8)
         assert len(got) == len(expected)

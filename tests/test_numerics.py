@@ -124,8 +124,23 @@ class TestFoldedFidelity:
             assert 0.0 <= f <= 1.0
 
     def test_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            folded_fidelity(1, 0.0, 0.0, 8)
+        # Equal intensities give 1 even where the class is empty. Where one
+        # weight vanishes or the two (about 1e-202 and 1e-124 at j = 60)
+        # multiply to an underflow, F is 0 and the distinguishability 1.
+        for j, a, b, m, want in [
+            (1, 0.0, 0.0, 8, 1.0), (1, 0.0, 0.1, 8, 0.0), (60, 0.005, 0.1, 64, 0.0),
+        ]:
+            assert folded_fidelity(j, a, b, m) == want
+            assert folded_distinguishability(j, a, b, m) == 1.0 - want
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_never_raises_on_schema_domain(self, data):
+        m = 2 * data.draw(st.integers(1, 32))
+        j = data.draw(st.integers(0, m - 1))
+        intensity = st.just(0.0) | st.floats(1e-6, 1.0)
+        f = folded_fidelity(j, data.draw(intensity), data.draw(intensity), m)
+        assert 0.0 <= f <= 1.0
 
     def test_consistency_with_distinguishability(self):
         # away from F ~ 1 both routes are well conditioned
