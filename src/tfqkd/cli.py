@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelParams, ProtocolParams
 from .constraints import SecurityBudget, _fmt, build_lp, dump_lp, make_budget
-from .keyrate import KeyRateReport, analyze, observe
+from .keyrate import KeyRateReport, analyze, end_to_end_plob, observe
 from .optimize import SearchSpace, optimize_point, sweep
 
 CSV_HEADER = "L_km,mu,nu,p_mu,p_nu,p_o,n_bit,e_bit,e_ph_upper,key_length,key_rate,plob_rate,status"
@@ -32,7 +32,6 @@ class ConfigError(ValueError):
 @dataclasses.dataclass
 class RunConfig:
     channel: ChannelParams
-    n_phases: int
     n_total: int
     budget: SecurityBudget
     distances: list[float]
@@ -191,11 +190,12 @@ def parse_config(data: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig, reporting problems
     with their field paths."""
     top = _fields(data, "", _TOP)
-    top["budget"] = _build("budget", make_budget, n_phases=top["n_phases"], **top["budget"])
+    n_phases = top.pop("n_phases")
+    top["budget"] = _build("budget", make_budget, n_phases=n_phases, **top["budget"])
     if top["protocol"] is not None:
         top["protocol"] = _build(
             "protocol", ProtocolParams.make,
-            n_phases=top["n_phases"], n_total=top["n_total"], **top["protocol"],
+            n_phases=n_phases, n_total=top["n_total"], **top["protocol"],
         )
     elif not top["optimize"]:
         raise ConfigError("protocol: missing required field")
@@ -218,17 +218,17 @@ def _distance_seeds(seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def _report_row(report: KeyRateReport) -> str:
+def _report_row(report: KeyRateReport, plob_rate: float) -> str:
     p = report.protocol
     vals = [
         report.l_km, p.mu, p.nu, p.p_mu, p.p_nu, p.p_o,
         report.n_bit, report.e_bit, report.e_ph_upper,
-        report.key_length, report.key_rate, report.plob_rate,
+        report.key_length, report.key_rate, plob_rate,
     ]
     return ",".join(_fmt(v) for v in vals) + "," + report.diagnostics.status
 
 
-def _sidecar_entry(report: KeyRateReport) -> dict:
+def _sidecar_entry(report: KeyRateReport, plob_rate: float) -> dict:
     p = report.protocol
     return {
         "L_km": report.l_km,
@@ -244,7 +244,7 @@ def _sidecar_entry(report: KeyRateReport) -> dict:
         "e_ph_upper": report.e_ph_upper,
         "key_length": report.key_length,
         "key_rate": report.key_rate,
-        "plob_rate": report.plob_rate if math.isfinite(report.plob_rate) else None,
+        "plob_rate": plob_rate if math.isfinite(plob_rate) else None,
     }
 
 
@@ -274,28 +274,26 @@ def run_analyze(config: RunConfig) -> int:
     out_csv = config.output
     out_json = os.path.splitext(out_csv)[0] + ".json"
 
+    reports = [None] * len(config.distances)
     if config.optimize:
-        results = sweep(
-            config.channel, config.distances, config.n_phases, config.n_total,
-            config.budget, config.search,
-            detector_in_eta=config.detector_in_eta,
-            plob_with_detector=config.plob_includes_detector,
-            threads=config.threads,
+        reports = sweep(
+            config.channel, config.distances, config.n_total, config.budget, config.search,
+            detector_in_eta=config.detector_in_eta, threads=config.threads,
         )
-    else:
-        results = [(l_km, config.protocol, None) for l_km in config.distances]
     # One child seed per distance keeps sampled counts independent across
     # the sweep while staying a pure function of the configured seed. The
     # optimizer's own report is already the expected-mode analysis.
     seeds = _distance_seeds(config.seed, len(config.distances))
     reports = [
         report if report is not None and config.mode == "expected" else analyze(
-            params, config.channel, l_km, config.budget,
-            mode=config.mode, seed=seed,
-            detector_in_eta=config.detector_in_eta,
-            plob_with_detector=config.plob_includes_detector,
+            config.protocol if report is None else report.protocol, config.channel, l_km,
+            config.budget, mode=config.mode, seed=seed, detector_in_eta=config.detector_in_eta,
         )
-        for (l_km, params, report), seed in zip(results, seeds)
+        for l_km, report, seed in zip(config.distances, reports, seeds)
+    ]
+    plob_rates = [
+        end_to_end_plob(config.channel, r.l_km, include_detector=config.plob_includes_detector)
+        for r in reports
     ]
 
     sidecar = {
@@ -303,14 +301,14 @@ def run_analyze(config: RunConfig) -> int:
         "mode": config.mode,
         "seed": config.seed,
         "optimize": config.optimize,
-        "results": [_sidecar_entry(r) for r in reports],
+        "results": [_sidecar_entry(r, plob) for r, plob in zip(reports, plob_rates)],
     }
 
     with _removed_on_error(out_csv, out_json):
         with open(out_csv, "w") as fh:
             fh.write(CSV_HEADER + "\n")
-            for r in reports:
-                fh.write(_report_row(r) + "\n")
+            for r, plob in zip(reports, plob_rates):
+                fh.write(_report_row(r, plob) + "\n")
         with open(out_json, "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -322,14 +320,12 @@ def run_dump_lp(config: RunConfig, l_km: float) -> int:
     external cross-checks: the LP that `tfqkd analyze` at that distance
     builds, sampled counts included. A signal that never clicks gives the
     LP of its zero counts, which analyze reports as no_detections."""
+    params = config.protocol
     if config.optimize:
-        params, _ = optimize_point(
-            config.channel, l_km, config.n_phases, config.n_total,
-            config.budget, config.search,
+        params = optimize_point(
+            config.channel, l_km, config.n_total, config.budget, config.search,
             detector_in_eta=config.detector_in_eta,
-        )
-    else:
-        params = config.protocol
+        ).protocol
     # The seed analyze uses for a single distance.
     seed = _distance_seeds(config.seed, 1)[0]
     counts = observe(params, config.channel, l_km, config.mode, seed, config.detector_in_eta)

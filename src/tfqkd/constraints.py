@@ -467,6 +467,8 @@ def build_lp(
 
 
 _DUMP_HEADER = "tfqkd-lp 1"
+# Record tags of an LP dump; scale, objective, eq and le hold no infinities.
+_DUMP_TAGS = ("nvars", "scale", "objective", "eq", "le", "bound")
 
 
 def _fmt(x: float) -> str:

@@ -3,10 +3,13 @@ length, and aggregates the per-distance report."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .channel import (
     ChannelParams,
@@ -42,8 +45,6 @@ class KeyRateReport:
     e_ph_upper: float
     key_length: float
     key_rate: float
-    plob_rate: float
-    budget: SecurityBudget
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
@@ -69,7 +70,8 @@ def _evaluate(
     """Phase-error bound and key length of each candidate protocol from its
     observations.
 
-    A single candidate's LP is built by build_lp and solved by solve_max.
+    A single candidate's LP is built by build_lp and solved by solve_max;
+    if the simplex basis turns singular, it is solved like a batch member.
     Several candidates' LPs are built together as per-class arrays
     (build_lps) and solved exactly from that structure (solve_separable),
     with no pivots. A candidate without signal detections (n_bit = 0) or
@@ -77,22 +79,22 @@ def _evaluate(
     """
     detected = [counts.n_bit > 0.0 for counts in observations]
     kept = [k for k, ok in enumerate(detected) if ok]
+    solved = None
     if len(protocols) == 1:
         # bench/tracing.py counts LP builds, optimize.lp_solves and
         # simplex.pivots only through build_lp and solve_max, so a lone LP
         # (optimize_point's final analyze included) takes both. This branch
-        # goes once the tracer counts batched solves (ROADMAP item 1).
+        # goes once the tracer counts batched solves (ROADMAP item 2).
         lps = [build_lp(protocols[0], observations[0], budget, gap_scale=gap_scale) for _ in kept]
-        solutions = [solve_max(lp) for lp in lps]
-        built = [(lp.scale, lp.clamp_events) for lp in lps]
-    else:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            solved = iter([(solve_max(lp), (lp.scale, lp.clamp_events)) for lp in lps])
+    if solved is None:  # several candidates, or a singular simplex basis
         batch = build_lps(
             [protocols[k] for k in kept], [observations[k] for k in kept], budget,
             gap_scale=gap_scale,
         )
-        solutions = solve_separable(batch)
         built = [(scale, batch.clamp_events(i)) for i, scale in enumerate(batch.scale.tolist())]
-    solved = iter(zip(solutions, built))
+        solved = zip(solve_separable(batch), built)
     outcomes = []
     for counts, ok in zip(observations, detected):
         n_bit, e_bit = counts.n_bit, counts.e_bit
@@ -177,7 +179,6 @@ def analyze(
     mode: str = "expected",
     seed: int = 0,
     detector_in_eta: bool = True,
-    plob_with_detector: bool = False,
     gap_scale: float = 1.0,
 ) -> KeyRateReport:
     """Full pipeline at one distance: observations, phase-error LP, key
@@ -189,7 +190,5 @@ def analyze(
         l_km=l_km,
         protocol=protocol,
         key_rate=outcome.key_length / float(protocol.n_total),
-        plob_rate=end_to_end_plob(channel, l_km, include_detector=plob_with_detector),
-        budget=budget,
         **outcome._asdict(),
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import LinearProgram, LPBatch
+from .constraints import _DUMP_HEADER, _DUMP_TAGS, LinearProgram, LPBatch
 
 # Pivot eligibility threshold and default feasibility slack. The reduced-cost
 # optimality tolerance is 1e-9 relative to the largest objective coefficient.
@@ -17,8 +17,6 @@ PIVOT_EPS = 1e-10
 OPT_TOL = 1e-9
 FEAS_TOL = 1e-9
 MAX_PIVOTS = 20000
-# Record tags of an LP dump; scale, objective, eq and le hold no infinities.
-_RECORDS = ("nvars", "scale", "objective", "eq", "le", "bound")
 
 
 @dataclass
@@ -364,9 +362,9 @@ def load_lp(path) -> LinearProgram:
     a value that is not finite (+inf is legal as an upper bound)."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "tfqkd-lp 1":
+    if not lines or lines[0] != _DUMP_HEADER:
         raise ValueError(f"{path}: not a tfqkd LP dump")
-    records: dict[str, list[list[float]]] = {tag: [] for tag in _RECORDS}
+    records: dict[str, list[list[float]]] = {tag: [] for tag in _DUMP_TAGS}
     for ln in lines[1:]:
         tag, *vals = ln.split("\t")
         if tag not in records:
@@ -384,10 +382,10 @@ def load_lp(path) -> LinearProgram:
     for tag, rows in records.items():
         if rows and {len(row) for row in rows} != {widths[tag]}:
             raise ValueError(f"{path}: {tag} record not {widths[tag]} values wide")
-    arrays = {tag: np.array(records[tag]).reshape(-1, widths[tag]) for tag in _RECORDS[2:]}
+    arrays = {tag: np.array(records[tag]).reshape(-1, widths[tag]) for tag in _DUMP_TAGS[2:]}
     lower, upper = arrays["bound"].T.copy()
     scale = records["scale"][0][0] if records["scale"] else 1.0
-    finite = np.concatenate([arrays[tag].ravel() for tag in _RECORDS[2:5]] + [lower, [scale]])
+    finite = np.concatenate([arrays[tag].ravel() for tag in _DUMP_TAGS[2:5]] + [lower, [scale]])
     if not (np.isfinite(finite).all() and (upper > -np.inf).all()):
         raise ValueError(f"{path}: non-finite value (only an upper bound may be +inf)")
     eqs, ubs = arrays["eq"], arrays["le"]

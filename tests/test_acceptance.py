@@ -70,14 +70,13 @@ def run_curve(n_total: int) -> list[float]:
     results = sweep(
         CHANNEL,
         DISTANCES,
-        8,
         n_total,
         BUDGET,
         SWEEP_SPACE,
         detector_in_eta=False,
         threads=2,
     )
-    return [report.key_rate for _, _, report in results]
+    return [r.key_rate for r in results]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfqkd import ChannelParams, end_to_end_plob
 from tfqkd.cli import CSV_HEADER, ConfigError, load_config, main, parse_config
 from tfqkd.simplex import load_lp, solve_max
 
@@ -92,7 +94,7 @@ def assert_config_error(tmp_path, capsys, cfg, message):
 class TestConfigParsing:
     def test_happy_path(self):
         cfg = parse_config(base_config())
-        assert cfg.n_phases == 2
+        assert cfg.budget.n_phases == 2
         assert cfg.protocol.p_o == pytest.approx(0.1)
         assert cfg.budget.eps_total_pe == 4e-20
 
@@ -419,6 +421,40 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[10]) > 0.0  # key_rate column
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_plob_column_follows_flag(self, tmp_path, optimize, flag):
+        cfg = base_config(distances=[0.0, 40.0], plob_includes_detector=flag)
+        if optimize:
+            cfg.update(optimize=True, search=dict(TINY_SEARCH, refinement_rounds=0))
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "plob.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        results = json.loads((tmp_path / "plob.json").read_text())["results"]
+        channel = ChannelParams(**cfg["channel"])
+        want = [end_to_end_plob(channel, l_km, include_detector=flag) for l_km in (0.0, 40.0)]
+        assert [float(row[11]) for row in rows] == want  # plob_rate column
+        assert [r["plob_rate"] for r in results] == [None if math.isinf(w) else w for w in want]
+        # The bound is infinite, so null, only at 0 km without the detector.
+        assert (results[0]["plob_rate"] is None) == (not flag)
+
+    def test_singular_simplex_basis_sweep(self, tmp_path):
+        # The warm-started winner at 276 km gives a lone LP on which the
+        # simplex basis turns singular.
+        cfg = {
+            "channel": {"e_m": 0.2573, "p_d": 0.0, "xi": 0.2, "eta_d": 0.001, "f_ec": 1.1},
+            "n_phases": 64,
+            "n_total": 1266231868171568,
+            "budget": {"eps_total_pe": 4e-20, "eps_cor": 1e-10, "eps_pa": 1.6566e-10},
+            "distances": [0, 276.11748457493013],
+            "optimize": True,
+            "search": {"grid_density": 3, "refinement_rounds": 0},
+        }
+        out = tmp_path / "singular.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
 
 # Draws from config.schema.json's domain: intensities at 0, 1e-6 and the

@@ -13,10 +13,12 @@ from tfqkd import (
     expected_observations,
     key_length,
 )
-from tfqkd import keyrate
+from tfqkd import keyrate, make_budget
 from tfqkd.keyrate import Diagnostics, _evaluate, _Outcome
 from tfqkd.numerics import folded_poisson
 from tfqkd.simplex import solve_max
+
+from lp_generators import TABLE1, random_round
 
 # Optimizer-selected operating point at L=100 km, 1e12 rounds, frozen once
 # from a converged grid search; the resulting phase-error bound is the
@@ -237,6 +239,51 @@ class TestAnalyze:
             assert outcome[:-1] == pytest.approx(want[:-1], rel=1e-9, abs=0.0)
         assert got[0].key_length > 0.0
 
+    def test_singular_lone_lp_solved_like_a_batch_member(
+        self, channel, budget_m8, protocol_m8, monkeypatch
+    ):
+        # A lone LP on which the simplex basis turns singular gets the
+        # outcome a batch member with the same counts gets.
+        counts = expected_observations(protocol_m8, channel, 100.0)
+        member = _evaluate([protocol_m8] * 2, [counts] * 2, channel, budget_m8)[0]
+
+        def singular(lp):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(keyrate, "solve_max", singular)
+        assert lone_outcome(protocol_m8, counts, channel, budget_m8) == member
+        assert member.diagnostics.status == "ok" and member.key_length > 0.0
+
     def test_rejects_unknown_mode(self, channel, budget_m8, protocol_m8):
         with pytest.raises(ValueError):
             analyze(protocol_m8, channel, 100.0, budget_m8, mode="exact")
+
+
+class TestBatching:
+    # 84 members: slices of 2, 3 and 7 leave no member alone, since a lone
+    # LP takes the simplex by design.
+    SIZE = 84
+
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("n_total", [1e10, 1e14])
+    def test_batching_never_changes_an_outcome(self, m, n_total):
+        rng = np.random.default_rng(m * 1000 + int(np.log10(n_total)))
+        budget = make_budget(n_phases=m, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20)
+        candidates, observations = random_round(rng, m, int(n_total), self.SIZE)
+        full = _evaluate(candidates, observations, TABLE1, budget)
+        assert any(o.diagnostics.status == "ok" for o in full)
+        order = rng.permutation(self.SIZE).tolist()
+        shuffled = _evaluate(
+            [candidates[i] for i in order], [observations[i] for i in order], TABLE1, budget
+        )
+        assert shuffled == [full[i] for i in order]
+        for width in (2, 3, 7):
+            sliced = [
+                outcome
+                for start in range(0, self.SIZE, width)
+                for outcome in _evaluate(
+                    candidates[start:start + width], observations[start:start + width],
+                    TABLE1, budget,
+                )
+            ]
+            assert sliced == full, width
