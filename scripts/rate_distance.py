@@ -4,7 +4,8 @@ repeaterless bound for three round counts, written as one CSV per curve.
 
     python scripts/rate_distance.py --out-dir results/ --step 10
 
-Plot key_rate and plob_rate (log y) against L_km from the CSVs.
+Plot key_rate and plob_rate (log y) against L_km from the CSVs. Every other
+setting is configs/table1_sweep.json's (no detector factor, as published).
 """
 
 import argparse
@@ -15,29 +16,14 @@ from pathlib import Path
 
 from tfqkd.cli import main as tfqkd_main
 
+WORKED_EXAMPLE = Path(__file__).parent / "configs" / "table1_sweep.json"
+
 
 def build_config(n_total: float, start: float, stop: float, step: float, threads: int) -> dict:
-    return {
-        "channel": {"e_m": 0.03, "p_d": 1e-8, "xi": 0.2, "eta_d": 0.3, "f_ec": 1.1},
-        "n_phases": 8,
-        "n_total": n_total,
-        "budget": {"eps_total_pe": 4e-20, "eps_cor": 1e-10, "eps_pa": 1.6566e-10},
-        "distances": {"start": start, "stop": stop, "step": step},
-        "optimize": True,
-        "search": {
-            "mu_range": [0.005, 0.15],
-            "nu_range": [0.01, 0.4],
-            "p_mu_range": [0.5, 0.95],
-            "p_nu_range": [0.02, 0.4],
-            "grid_density": 5,
-            "refinement_rounds": 3,
-        },
-        # The published transmittance formula carries no detector factor;
-        # keep the comparison self-consistent with the bare-fiber bound.
-        "detector_in_eta": False,
-        "plob_includes_detector": False,
-        "threads": threads,
-    }
+    config = json.loads(WORKED_EXAMPLE.read_text())
+    del config["output"]
+    distances = {"start": start, "stop": stop, "step": step}
+    return {**config, "n_total": n_total, "distances": distances, "threads": threads}
 
 
 def main(argv=None) -> int:

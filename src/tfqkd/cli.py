@@ -248,12 +248,23 @@ def _sidecar_entry(report: KeyRateReport, plob_rate: float) -> dict:
     }
 
 
-def _check_writable(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise ConfigError(f"output: directory {parent} does not exist")
-    if os.path.isdir(path):
-        raise ConfigError(f"output: {path} is a directory")
+def _output_paths(command: str, config_path: str, output: str) -> tuple[str, ...]:
+    """Every file the command writes: the CSV and its JSON sidecar (same
+    name, .json) for analyze and sweep, the LP file for dump-lp. None may
+    be a directory, lie in a missing directory, be another of them or be
+    the config file."""
+    paths = (output,) if command == "dump-lp" else (output, os.path.splitext(output)[0] + ".json")
+    for path in paths:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ConfigError(f"output: directory {parent} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"output: {path} is a directory")
+        if os.path.exists(path) and os.path.samefile(path, config_path):
+            raise ConfigError(f"output: {path} would overwrite the config")
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ConfigError(f"output: the sidecar {paths[-1]} would overwrite the CSV")
+    return paths
 
 
 @contextlib.contextmanager
@@ -268,12 +279,10 @@ def _removed_on_error(*paths: str):
         raise
 
 
-def run_analyze(config: RunConfig) -> int:
-    """Analyze every configured distance and write the CSV plus the JSON
-    diagnostics sidecar to config.output. Returns the process exit code."""
-    out_csv = config.output
-    out_json = os.path.splitext(out_csv)[0] + ".json"
-
+def run_analyze(config: RunConfig, out_csv: str, out_json: str) -> int:
+    """Analyze every configured distance and write the CSV to out_csv and
+    the JSON diagnostics sidecar to out_json. Returns the process exit
+    code."""
     reports = [None] * len(config.distances)
     if config.optimize:
         reports = sweep(
@@ -315,8 +324,8 @@ def run_analyze(config: RunConfig) -> int:
     return 0
 
 
-def run_dump_lp(config: RunConfig, l_km: float) -> int:
-    """Write the debug LP matrix at one distance to config.output for
+def run_dump_lp(config: RunConfig, l_km: float, out: str) -> int:
+    """Write the debug LP matrix at one distance to `out` for
     external cross-checks: the LP that `tfqkd analyze` at that distance
     builds, sampled counts included. A signal that never clicks gives the
     LP of its zero counts, which analyze reports as no_detections."""
@@ -330,8 +339,8 @@ def run_dump_lp(config: RunConfig, l_km: float) -> int:
     seed = _distance_seeds(config.seed, 1)[0]
     counts = observe(params, config.channel, l_km, config.mode, seed, config.detector_in_eta)
     lp = build_lp(params, counts, config.budget)
-    with _removed_on_error(config.output):
-        dump_lp(lp, config.output)
+    with _removed_on_error(out):
+        dump_lp(lp, out)
     return 0
 
 
@@ -366,21 +375,21 @@ def main(argv: list[str] | None = None) -> int:
             config.output = args.out
         if config.output is None:
             raise ConfigError("output: required (config field or --out)")
-        _check_writable(config.output)
+        outputs = _output_paths(args.command, args.config, config.output)
         if args.threads is not None:
             config.threads = _as_int(args.threads, "threads", low=1)
         if args.seed is not None:
             config.seed = _as_int(args.seed, "seed", low=0)
 
         if args.command == "sweep":
-            return run_analyze(config)
+            return run_analyze(config, *outputs)
         if args.distance is not None:
             config.distances = _as_distances([args.distance], "distances")
         if len(config.distances) != 1:
             raise ConfigError("distances: analyze needs exactly one distance")
         if args.command == "dump-lp":
-            return run_dump_lp(config, config.distances[0])
-        return run_analyze(config)
+            return run_dump_lp(config, config.distances[0], *outputs)
+        return run_analyze(config, *outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -310,33 +310,18 @@ class LinearProgram:
             raise ValueError("need upper >= lower >= 0 for every variable")
 
 
-@lru_cache(maxsize=None)
-def _gap_row_layout(m_phases: int) -> tuple[np.ndarray, ...]:
-    """Nonzero entries of the gap-bound rows of a_ub, as (row, column,
-    index into [coeff_left | coeff_right], sign) arrays. Rows 2i and 2i + 1
-    bound gap i from above and below; the second is the first negated."""
-    k = m_phases + 2
-    # Vacuum rows weigh the class-0 yield; decoy rows compare class j of
-    # the two intensities.
-    entries = [(0, 0, k, -1.0), (2, m_phases, k + 1, -1.0)]
-    for j in range(m_phases):
-        row = 2 * (2 + j)
-        entries += [(row, j, 2 + j, 1.0), (row, m_phases + j, k + 2 + j, -1.0)]
-    entries += [(row + 1, col, src, -sign) for row, col, src, sign in entries]
-    rows, cols, src, sign = zip(*entries)
-    return np.array(rows), np.array(cols), np.array(src), np.array(sign)
-
-
 @dataclass
 class LPBatch:
     """Phase-error LPs of one shape, stacked along a leading member axis;
     member k is in units of scale[k], and member(k) is its dense
-    LinearProgram. The LP is separable: class j's constraints involve only
-    its signal and decoy yields x_j, y_j (boxes() and strips() give its
-    polygon), and only the count equalities b_eq link the classes. The
-    build report holds the gap-bound coefficients and deltas as (B, M + 2)
-    arrays in LP order, the clamp events per gap bound of the members that
-    clamp, and the failure-probability charges (the same for every member).
+    LinearProgram. Gap bound i owns two rows, from above and from below,
+    with right-hand sides b_ub[:, i] (B, M + 2, 2). The LP is separable:
+    class j's constraints involve only its signal and decoy yields x_j, y_j
+    (boxes() and strips() give its polygon), and only the count equalities
+    b_eq link the classes. The build report holds the gap-bound
+    coefficients and deltas as (B, M + 2) arrays in LP order, the clamp
+    events per gap bound of the members that clamp, and the
+    failure-probability charges (the same for every member).
     """
 
     b_eq: np.ndarray
@@ -370,15 +355,15 @@ class LPBatch:
         boxes[:, 3] = self.upper[:, m:]
         coeff = self.coeff_right[:, :2]
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 cuts nothing
-            boxes[:, 0:4:2, 0] = np.fmax(0.0, -self.b_ub[:, 0:4:2] / coeff)
-            boxes[:, 1:4:2, 0] = np.fmin(self.upper[:, [0, m]], self.b_ub[:, 1:4:2] / coeff)
+            boxes[:, 0:4:2, 0] = np.fmax(0.0, -self.b_ub[:, :2, 0] / coeff)
+            boxes[:, 1:4:2, 0] = np.fmin(self.upper[:, [0, m]], self.b_ub[:, :2, 1] / coeff)
         return boxes
 
     def strips(self) -> np.ndarray:
         """Decoy-pair strip |a x_j - b y_j| <= d of each class, (B, 3, M):
         rows a, b, d."""
         return np.stack(
-            [self.coeff_left[:, 2:], self.coeff_right[:, 2:], self.b_ub[:, 4::2]], axis=1
+            [self.coeff_left[:, 2:], self.coeff_right[:, 2:], self.b_ub[:, 2:, 0]], axis=1
         )
 
     def member(self, k: int) -> LinearProgram:
@@ -389,12 +374,18 @@ class LPBatch:
         a_eq = np.zeros((2, 2 * m))
         a_eq[0, :m] = 1.0
         a_eq[1, m:] = 1.0
-        rows, cols, src, sign = _gap_row_layout(m)
-        a_ub = np.zeros((2 * m + 4, 2 * m))
-        a_ub[1::2] = -0.0  # the negated zeros of each second row
-        a_ub[rows, cols] = np.concatenate([self.coeff_left[k], self.coeff_right[k]])[src] * sign
+        # Gap i's row from above, then its negation. Decoy row 2 + j compares
+        # class j of the two intensities: entries 4M + 1 apart when flattened.
+        gap = np.zeros((m + 2, 2, 2 * m))
+        gap[0, 0, 0] = -self.coeff_right[k, 0]
+        gap[1, 0, m] = -self.coeff_right[k, 1]
+        decoy = gap[2:].reshape(-1)
+        decoy[:: 4 * m + 1] = self.coeff_left[k, 2:]
+        decoy[m :: 4 * m + 1] = -self.coeff_right[k, 2:]
+        np.negative(gap[:, 0], out=gap[:, 1])
         return LinearProgram(
-            objective, a_eq, self.b_eq[k], a_ub, self.b_ub[k], np.zeros(2 * m), self.upper[k],
+            objective, a_eq, self.b_eq[k], gap.reshape(2 * m + 4, 2 * m), self.b_ub[k].reshape(-1),
+            np.zeros(2 * m), self.upper[k],
             scale=float(self.scale[k]),
             gap_bounds=_gap_bound_records(
                 m, self.coeff_left[k], self.coeff_right[k], self.delta[k], self.gap_events.get(k)
@@ -435,11 +426,12 @@ def build_lps(
     coeff_left, coeff_right, delta, events = _gap_bounds(rows, n_total, eps_a)
 
     b_eq = rows[:, -3:-1] / n_total
-    b_ub = np.repeat(gap_scale * delta / n_total, 2, axis=1)
+    b_ub = np.empty((b, k, 2))
+    b_ub[...] = (gap_scale * delta / n_total)[..., None]
     # The vacuum rows move the observed vacuum count to the right-hand side.
     anchor = coeff_left[:, :2] * (rows[:, -1:] / n_total)
-    b_ub[:, 0:4:2] -= anchor
-    b_ub[:, 1:4:2] += anchor
+    b_ub[:, :2, 0] -= anchor
+    b_ub[:, :2, 1] += anchor
 
     upper = _box_caps(rows[:, : 2 * m], n_total, eps_a)
     return LPBatch(

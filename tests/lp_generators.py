@@ -9,7 +9,7 @@ import numpy as np
 from tfqkd import ChannelParams, ProtocolParams, build_lp, expected_observations, make_budget
 from tfqkd.channel import sample_observations
 from tfqkd.constraints import LinearProgram, LPBatch
-from tfqkd.optimize import _geom_grid, _lin_grid
+from tfqkd.optimize import _grid
 from tfqkd.simplex import LPSolution
 
 TABLE1 = ChannelParams(e_m=0.03, p_d=1e-8, xi=0.2, eta_d=0.3, f_ec=1.1)
@@ -106,10 +106,10 @@ def first_search_round(channel, n_phases, n_total, l_km):
     scripts/rate_distance.py."""
     candidates, observations = [], []
     for mu, nu, p_mu, p_nu in itertools.product(
-        _geom_grid(0.005, 0.15, 5),
-        _geom_grid(0.01, 0.4, 5),
-        _lin_grid(0.5, 0.95, 5),
-        _lin_grid(0.02, 0.4, 5),
+        _grid(0.005, 0.15, 5, True),
+        _grid(0.01, 0.4, 5, True),
+        _grid(0.5, 0.95, 5, False),
+        _grid(0.02, 0.4, 5, False),
     ):
         if p_mu + p_nu > 1.0 + 1e-12:
             continue

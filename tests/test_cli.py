@@ -310,6 +310,38 @@ class TestAnalyzeCommand:
         assert rc == 2
 
 
+class TestOutputPaths:
+    """Every path a command writes is checked before any work: one that
+    would overwrite the config, another output of the run or a directory
+    is a config error, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "command, out, extra",
+        [
+            ("analyze", "cfg.csv", ["--distance", "40"]),
+            ("sweep", "cfg.json", []),
+            ("dump-lp", "cfg.json", ["--distance", "40"]),
+            ("sweep", "out.json", []),
+            ("sweep", "dir.csv", []),
+            ("sweep", "link.csv", []),
+        ],
+        ids=[
+            "sidecar-is-config", "csv-is-config", "lp-is-config", "sidecar-is-csv",
+            "sidecar-is-directory", "sidecar-links-to-config",
+        ],
+    )
+    def test_rejected_before_writing(self, tmp_path, capsys, command, out, extra):
+        cfg_path = write_config(tmp_path, base_config(), "cfg.json")
+        (tmp_path / "dir.json").mkdir()
+        (tmp_path / "link.json").symlink_to(cfg_path)
+        before = sorted(tmp_path.iterdir())
+        config_bytes = Path(cfg_path).read_bytes()
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / out), *extra]) == 2
+        assert "config error: output: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert Path(cfg_path).read_bytes() == config_bytes
+
+
 class TestThreadPrecedence:
     """--threads beats the config value. The environment takes no part: the
     same argv reaches sweep with the same worker count whatever
@@ -393,7 +425,7 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_sidecar_validates_against_shipped_schema(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_config(mode="sampled", seed=5))
+        cfg_path = write_config(tmp_path, base_config(mode="sampled", seed=5), "sampled.json")
         out = tmp_path / "run.csv"
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
         sidecar = json.loads((tmp_path / "run.json").read_text())
@@ -597,6 +629,21 @@ def load_rate_distance_script():
 
 
 class TestRateDistanceScript:
+    def test_config_is_the_worked_example(self):
+        script = load_rate_distance_script()
+        example = json.loads(
+            (Path(__file__).parent.parent / "scripts" / "configs" / "table1_sweep.json").read_text()
+        )
+        config = script.build_config(1e13, 240.0, 250.0, 10.0, 3)
+        run_keys = {"n_total", "distances", "threads"}
+        assert {k: v for k, v in config.items() if k not in run_keys} == {
+            k: v for k, v in example.items() if k not in run_keys | {"output"}
+        }
+        assert (config["n_total"], config["distances"], config["threads"]) == (
+            1e13, {"start": 240.0, "stop": 250.0, "step": 10.0}, 3
+        )
+        assert parse_config(config).distances == [240.0, 250.0]
+
     @pytest.mark.parametrize("rc, sweeps", [(0, 2), (3, 1)])
     def test_config_files_are_removed(self, tmp_path, monkeypatch, rc, sweeps):
         script = load_rate_distance_script()

@@ -376,7 +376,7 @@ class TestBuildLps:
     def test_empty_round(self, budget_m8):
         batch = build_lps([], [], budget_m8)
         assert len(batch) == 0
-        assert batch.b_ub.shape == (0, 20)
+        assert batch.b_ub.shape == (0, 10, 2)
         assert batch.boxes().shape == (0, 4, 8)
 
     def test_class_arrays_are_the_dense_rows(self, channel, budget_m8, protocol_m8):

@@ -12,8 +12,7 @@ from tfqkd import (
 from tfqkd.optimize import (
     EmptyFeasibleRegion,
     SearchSpace,
-    _geom_grid,
-    _lin_grid,
+    _grid,
     _shrunk,
     optimize_point,
     sweep,
@@ -125,7 +124,7 @@ class TestOptimizePoint:
         best = None
         for round_idx in range(space.refinement_rounds + 1):
             axes = [
-                (_geom_grid if geo else _lin_grid)(*win, space.grid_density)
+                _grid(*win, space.grid_density, geo)
                 for win, geo in zip(windows, geometric)
             ]
             for mu, nu, p_mu, p_nu in itertools.product(*axes):
@@ -224,3 +223,30 @@ class TestSweep:
             assert rs.l_km == rp.l_km
             assert rs.protocol == rp.protocol
             assert rs.key_length == rp.key_length
+
+    def test_workers_capped_at_distance_count(self, channel, budget_fast, monkeypatch):
+        # The pool forks all its workers at once; an in-process stand-in
+        # records how many were asked for without starting any.
+        import tfqkd.optimize
+
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(tfqkd.optimize, "ProcessPoolExecutor", FakePool)
+        space = tiny_space()
+        distances = [40.0, 55.0]
+        many = sweep(channel, distances, N_FAST, budget_fast, space, threads=10**6)
+        two = sweep(channel, distances, N_FAST, budget_fast, space, threads=2)
+        assert requested == [2, 2]
+        assert many == two

@@ -328,23 +328,28 @@ class TestExternalSolverCrossCheck:
     """Full-size instances are beyond the vertex oracle; an independent
     LP solver (test-only dependency) covers them."""
 
-    def test_m8_instances_match_highs(self, channel, budget_m8):
+    @pytest.mark.parametrize("n_phases", [8, 16])
+    def test_instances_match_highs(self, channel, n_phases):
         # Expected and sampled counts over 10-450 km; solve_max on each LP
         # and solve_separable on all of them as one batch, against default
         # HiGHS.
+        budget = make_budget(
+            n_phases=n_phases, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20
+        )
         rng = np.random.default_rng(808)
         lps, batches = [], []
         for i in range(40):
             mu, nu = sorted(rng.uniform(0.01, 0.3, size=2))
             p_mu, p_nu = rng.dirichlet([4, 2, 1])[:2]
-            proto = ProtocolParams.make(mu, nu, p_mu, p_nu, 8, int(10 ** rng.uniform(10, 14)))
+            n_total = int(10 ** rng.uniform(10, 14))
+            proto = ProtocolParams.make(mu, nu, p_mu, p_nu, n_phases, n_total)
             l_km = float(rng.uniform(10, 450))
             if i % 2:
                 counts = sample_observations(proto, channel, l_km, i)
             else:
                 counts = expected_observations(proto, channel, l_km)
-            batches.append(build_lps([proto], [counts], budget_m8))
-            lps.append(build_lp(proto, counts, budget_m8))
+            batches.append(build_lps([proto], [counts], budget))
+            lps.append(build_lp(proto, counts, budget))
         for lp, got in zip(lps, solve_separable(concat_batches(batches))):
             mine = solve_max(lp)
             status, value = highs(lp)
