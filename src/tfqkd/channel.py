@@ -5,9 +5,12 @@ for fluctuating counts."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import per_distinct
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,63 @@ class ObservedCounts:
             raise ValueError(f"e_bit={self.e_bit} outside [0, 1]")
 
 
+@dataclass(frozen=True)
+class ProtocolArrays:
+    """Candidate protocols sharing the number of phase slices, as (B,)
+    arrays of the other ProtocolParams fields (n_total as floats). Nothing
+    is validated per candidate."""
+
+    mu: np.ndarray
+    nu: np.ndarray
+    p_mu: np.ndarray
+    p_nu: np.ndarray
+    p_o: np.ndarray
+    n_phases: int
+    n_total: np.ndarray
+
+    @classmethod
+    def of(cls, protocols: Sequence[ProtocolParams], n_phases: int) -> "ProtocolArrays":
+        if any(p.n_phases != n_phases for p in protocols):
+            raise ValueError(f"every protocol must have {n_phases} phase slices")
+        columns = np.array(
+            [(p.mu, p.nu, p.p_mu, p.p_nu, p.p_o, p.n_total) for p in protocols], dtype=float
+        ).reshape(-1, 6)
+        return cls(*columns[:, :5].T, n_phases, columns[:, 5])
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def take(self, index) -> "ProtocolArrays":
+        return ProtocolArrays(
+            self.mu[index], self.nu[index], self.p_mu[index], self.p_nu[index], self.p_o[index],
+            self.n_phases, self.n_total[index],
+        )
+
+
+@dataclass(frozen=True)
+class CountArrays:
+    """The ObservedCounts of candidates, as (B,) arrays."""
+
+    n_2mu: np.ndarray
+    n_2nu: np.ndarray
+    n_0: np.ndarray
+    e_bit: np.ndarray
+
+    @classmethod
+    def of(cls, observations: Sequence[ObservedCounts]) -> "CountArrays":
+        columns = np.array(
+            [(c.n_2mu, c.n_2nu, c.n_0, c.e_bit) for c in observations], dtype=float
+        ).reshape(-1, 4)
+        return cls(*columns.T)
+
+    @property
+    def n_bit(self) -> np.ndarray:
+        return self.n_2mu
+
+    def take(self, index) -> "CountArrays":
+        return CountArrays(self.n_2mu[index], self.n_2nu[index], self.n_0[index], self.e_bit[index])
+
+
 def half_channel_transmittance(
     l_km: float, channel: ChannelParams, include_detector: bool = True
 ) -> float:
@@ -140,6 +200,14 @@ def click_probabilities(
     return q_corr, q_err
 
 
+def _mean_counts(n, m, squares, q_mu, q_nu, q_0):
+    """Mean n_2mu, n_2nu and n_0 in n rounds from the squared label
+    probabilities (p_mu^2, p_nu^2, p_o^2) and the probabilities q of a
+    retained click at mu, nu and the vacuum: on floats or arrays alike."""
+    sq_mu, sq_nu, sq_o = squares
+    return n * sq_mu * 2.0 * q_mu / m, n * sq_nu * 2.0 * q_nu / m, n * sq_o * q_0
+
+
 def expected_observations(
     protocol: ProtocolParams,
     channel: ChannelParams,
@@ -153,19 +221,43 @@ def expected_observations(
     n_2mu and e_bit are 0, as when sample_observations draws no click.
     """
     eta = half_channel_transmittance(l_km, channel, include_detector=detector_in_eta)
-    n = float(protocol.n_total)
-    m = protocol.n_phases
-
     qc_mu, qe_mu = click_probabilities(protocol.mu, eta, channel)
     qc_nu, qe_nu = click_probabilities(protocol.nu, eta, channel)
     qc_0, qe_0 = click_probabilities(0.0, eta, channel)
-
     q_mu = qc_mu + qe_mu
-    n_2mu = n * protocol.p_mu**2 * 2.0 * q_mu / m
-    n_2nu = n * protocol.p_nu**2 * 2.0 * (qc_nu + qe_nu) / m
-    n_0 = n * protocol.p_o**2 * (qc_0 + qe_0)
+    squares = (protocol.p_mu**2, protocol.p_nu**2, protocol.p_o**2)
+    n_2mu, n_2nu, n_0 = _mean_counts(
+        float(protocol.n_total), protocol.n_phases, squares, q_mu, qc_nu + qe_nu, qc_0 + qe_0
+    )
     e_bit = qe_mu / q_mu if q_mu > 0.0 else 0.0
     return ObservedCounts(n_2mu=n_2mu, n_2nu=n_2nu, n_0=n_0, e_bit=e_bit)
+
+
+def expected_counts(
+    protocols: ProtocolArrays,
+    channel: ChannelParams,
+    l_km: float,
+    detector_in_eta: bool = True,
+) -> CountArrays:
+    """expected_observations of each candidate, as arrays. Click
+    probabilities and squared label probabilities are evaluated by the
+    scalar functions once per distinct value, so every entry is
+    bit-identical to expected_observations."""
+    eta = half_channel_transmittance(l_km, channel, include_detector=detector_in_eta)
+    b = len(protocols)
+    intensities = np.concatenate([protocols.mu, protocols.nu]).tolist()
+    clicks = per_distinct(lambda beta: click_probabilities(beta, eta, channel), intensities)
+    (qc_mu, qe_mu), (qc_nu, qe_nu) = clicks.reshape(2, b, 2).transpose(0, 2, 1)
+    qc_0, qe_0 = click_probabilities(0.0, eta, channel)
+    q_mu = qc_mu + qe_mu
+    labels = np.concatenate([protocols.p_mu, protocols.p_nu, protocols.p_o]).tolist()
+    squares = per_distinct(lambda p: p**2, labels).reshape(3, b)
+    n_2mu, n_2nu, n_0 = _mean_counts(
+        protocols.n_total, protocols.n_phases, squares, q_mu, qc_nu + qe_nu, qc_0 + qe_0
+    )
+    clicks_mu = q_mu > 0.0
+    e_bit = np.where(clicks_mu, qe_mu / np.where(clicks_mu, q_mu, 1.0), 0.0)
+    return CountArrays(n_2mu=n_2mu, n_2nu=n_2nu, n_0=n_0, e_bit=e_bit)
 
 
 def sample_observations(

@@ -6,17 +6,17 @@ an explicit failure-probability ledger."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import ObservedCounts, ProtocolParams
+from .channel import CountArrays, ObservedCounts, ProtocolArrays, ProtocolParams
 from .numerics import (
     chernoff_deltas,
     folded_distinguishability,
     folded_poisson,
+    per_distinct,
     vacuum_distinguishability,
 )
 
@@ -115,11 +115,11 @@ _TABLE_CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _intensity_table(intensity: float, m_phases: int) -> tuple[tuple[float, ...], float]:
+def _intensity_table(intensity: float, m_phases: int) -> tuple[float, ...]:
     """Folded class weights of the two-pulse source at per-pulse intensity
-    `intensity` (classes 0..M-1), and its vacuum distinguishability."""
+    `intensity` (classes 0..M-1), then its vacuum distinguishability."""
     weights = tuple(folded_poisson(j, 2.0 * intensity, m_phases) for j in range(m_phases))
-    return weights, vacuum_distinguishability(intensity, m_phases)
+    return weights + (vacuum_distinguishability(intensity, m_phases),)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -129,30 +129,25 @@ def _pair_distinguishabilities(mu: float, nu: float, m_phases: int) -> tuple[flo
     return tuple(folded_distinguishability(j, mu, nu, m_phases) for j in range(m_phases))
 
 
-def _candidate_rows(
-    protocols: Sequence[ProtocolParams], observations: Sequence[ObservedCounts], m_phases: int
-) -> np.ndarray:
-    """One row per candidate, read from the cached tables: the probabilities
-    that a round prepares the matched-intensity folded class j = 0..M-1 of
-    mu, then of nu (both parties pick the label, phases match in- or
-    anti-phase), then that both parties pick the vacuum (2M + 1); the
-    vacuum distinguishabilities of mu and nu; the pair distinguishabilities
-    of classes 0..M-1; and the observed n_2mu, n_2nu, n_0: (B, 3M + 6)."""
-    m = m_phases
-    rows = []
-    for p, c in zip(protocols, observations):
-        weights_mu, vacuum_mu = _intensity_table(p.mu, m)
-        weights_nu, vacuum_nu = _intensity_table(p.nu, m)
-        factor_mu = 2.0 * p.p_mu**2 / m
-        factor_nu = 2.0 * p.p_nu**2 / m
-        rows.append(
-            [factor_mu * w for w in weights_mu]
-            + [factor_nu * w for w in weights_nu]
-            + [p.p_o**2, vacuum_mu, vacuum_nu]
-            + list(_pair_distinguishabilities(p.mu, p.nu, m))
-            + [c.n_2mu, c.n_2nu, c.n_0]
-        )
-    return np.array(rows, dtype=float).reshape(len(rows), 3 * m + 6)
+def _candidate_rows(protocols: ProtocolArrays, counts: CountArrays) -> np.ndarray:
+    """One row per candidate: the probabilities that a round prepares the
+    matched-intensity folded class j = 0..M-1 of mu, then of nu (both
+    parties pick the label, phases match in- or anti-phase), then that both
+    parties pick the vacuum (2M + 1); the vacuum distinguishabilities of mu
+    and nu; the pair distinguishabilities of classes 0..M-1; and the
+    observed n_2mu, n_2nu, n_0: (B, 3M + 6). The cached tables are read
+    once per distinct intensity and once per distinct (mu, nu) pair."""
+    m, b = protocols.n_phases, len(protocols)
+    mu, nu = protocols.mu.tolist(), protocols.nu.tolist()
+    tables = per_distinct(lambda x: _intensity_table(x, m), mu + nu).reshape(2, b, m + 1)
+    pairs = per_distinct(lambda pair: _pair_distinguishabilities(*pair, m), list(zip(mu, nu)))
+    labels = np.concatenate([protocols.p_mu, protocols.p_nu, protocols.p_o]).tolist()
+    squares = per_distinct(lambda p: p**2, labels).reshape(3, b, 1)
+    weights = 2.0 * squares[:2] / m * tables[..., :m]
+    return np.concatenate([
+        weights[0], weights[1], squares[2], tables[0, :, m:], tables[1, :, m:],
+        pairs.reshape(b, m), counts.n_2mu[:, None], counts.n_2nu[:, None], counts.n_0[:, None],
+    ], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -160,14 +155,6 @@ def _gap_labels(m_phases: int) -> tuple[tuple[str, int], ...]:
     """(kind, j) of the gap bounds of an LP, in LP order: vacuum_mu,
     vacuum_nu, then decoy_pair for classes 0..M-1."""
     return (("vacuum_mu", 0), ("vacuum_nu", 0)) + tuple(("decoy_pair", j) for j in range(m_phases))
-
-
-@lru_cache(maxsize=None)
-def _residual_events(m_phases: int) -> tuple[tuple[str], ...]:
-    """The clamp event of a negative residual trial count, per gap bound."""
-    return tuple(
-        (f"{kind}[{j}]: residual trial count below zero",) for kind, j in _gap_labels(m_phases)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -188,12 +175,12 @@ def _pair_layout(m_phases: int) -> np.ndarray:
 
 
 def _gap_bounds(
-    rows: np.ndarray, n_total: float, eps_a: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[tuple[str, ...], ...]]]:
+    rows: np.ndarray, n_total: np.ndarray, eps_a: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every gap bound of each candidate's phase-error LP, from the
-    _candidate_rows: coeff_left, coeff_right and delta as (B, M + 2) arrays
-    in LP order (_gap_labels), and the clamp events per bound of each
-    candidate that clamps.
+    _candidate_rows and each candidate's n_total (B, 1): coeff_left,
+    coeff_right and delta before its clamp at zero as (B, M + 2) arrays in
+    LP order (_gap_labels), and where the residual trial count was clamped.
 
     Each bound applies the finite-statistics bound to a pair of
     preparations with probabilities (p1, p2), distinguishability
@@ -214,7 +201,7 @@ def _gap_bounds(
     # d_pair and d_last, then d_guess and d_flip, which need the trial
     # counts n1 and n2 that d_pair brackets.
     d_pair, d_last = chernoff_deltas(
-        np.array([np.full(s.shape, n_total), np.where(left_larger, left, right)]),
+        np.array([np.ones_like(s) * n_total, np.where(left_larger, left, right)]),
         np.array([2.0 * p_small, ratio]),
         eps_a,
     )[0]
@@ -233,35 +220,10 @@ def _gap_bounds(
         eps_a,
     )
     delta = n1 * s + 2.0 * d_guess - 2.0 * d_flip + d_last
-    negative = delta < 0.0
-
-    events = {}
-    residual_events = _residual_events(m)
-    negative_rows = negative.any(axis=1).tolist()
-    for k in np.flatnonzero((flip_clamped | negative).any(axis=1)).tolist():
-        flips = flip_clamped[k].tolist()
-        per_bound = [ev if flip else () for ev, flip in zip(residual_events, flips)]
-        if negative_rows[k]:
-            for i in np.flatnonzero(negative[k]).tolist():
-                kind, j = _gap_labels(m)[i]
-                per_bound[i] += (f"{kind}[{j}]: delta {float(delta[k, i]):.6g} clamped to 0",)
-        events[k] = tuple(per_bound)
-    return coeff_left, coeff_right, np.where(negative, 0.0, delta), events
+    return coeff_left, coeff_right, delta, flip_clamped
 
 
-def _gap_bound_records(
-    m_phases: int, coeff_left, coeff_right, delta, events: tuple[tuple[str, ...], ...] | None
-) -> tuple[GapBound, ...]:
-    """One candidate's gap bounds, from its rows of the _gap_bounds arrays."""
-    columns = (coeff_left.tolist(), coeff_right.tolist(), delta.tolist())
-    events = events or ((),) * (m_phases + 2)
-    return tuple(
-        GapBound(kind, j, *values)
-        for (kind, j), *values in zip(_gap_labels(m_phases), *columns, events)
-    )
-
-
-def _box_caps(q: np.ndarray, n_total: float, eps_a: float) -> np.ndarray:
+def _box_caps(q: np.ndarray, n_total: np.ndarray, eps_a: float) -> np.ndarray:
     """Mean-plus-deviation cap on the clicks of classes prepared with
     probabilities q in n_total rounds."""
     dev = 3.0 * math.log(1.0 / eps_a)
@@ -319,9 +281,10 @@ class LPBatch:
     class j's constraints involve only its signal and decoy yields x_j, y_j
     (boxes() and strips() give its polygon), and only the count equalities
     b_eq link the classes. The build report holds the gap-bound
-    coefficients and deltas as (B, M + 2) arrays in LP order, the clamp
-    events per gap bound of the members that clamp, and the
-    failure-probability charges (the same for every member).
+    coefficients and deltas (clamped at zero, and before that clamp) and
+    where a residual trial count was clamped, as (B, M + 2) arrays in LP
+    order, and the failure-probability charges (the same for every member).
+    A member's clamp events are spelled out only when asked for.
     """
 
     b_eq: np.ndarray
@@ -331,7 +294,8 @@ class LPBatch:
     coeff_left: np.ndarray
     coeff_right: np.ndarray
     delta: np.ndarray
-    gap_events: dict[int, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
+    unclamped_delta: np.ndarray
+    residual_clamped: np.ndarray
     eps_charges: int = 0
 
     def __len__(self) -> int:
@@ -341,8 +305,19 @@ class LPBatch:
     def n_phases(self) -> int:
         return self.delta.shape[1] - 2
 
+    def gap_events(self, k: int) -> tuple[tuple[str, ...], ...]:
+        """Member k's clamp events per gap bound, in LP order."""
+        columns = (self.residual_clamped[k].tolist(), self.unclamped_delta[k].tolist())
+        per_bound = []
+        for (kind, j), residual, delta in zip(_gap_labels(self.n_phases), *columns):
+            events = (f"{kind}[{j}]: residual trial count below zero",) if residual else ()
+            if delta < 0.0:
+                events += (f"{kind}[{j}]: delta {delta:.6g} clamped to 0",)
+            per_bound.append(events)
+        return tuple(per_bound)
+
     def clamp_events(self, k: int) -> tuple[str, ...]:
-        return tuple(e for events in self.gap_events.get(k, ()) for e in events)
+        return tuple(e for events in self.gap_events(k) for e in events)
 
     def boxes(self) -> np.ndarray:
         """Bounds of each class's yields, (B, 4, M): rows x_lo, x_hi, y_lo,
@@ -383,27 +358,30 @@ class LPBatch:
         decoy[:: 4 * m + 1] = self.coeff_left[k, 2:]
         decoy[m :: 4 * m + 1] = -self.coeff_right[k, 2:]
         np.negative(gap[:, 0], out=gap[:, 1])
+        events = self.gap_events(k)
+        columns = (self.coeff_left[k].tolist(), self.coeff_right[k].tolist(), self.delta[k].tolist())
         return LinearProgram(
             objective, a_eq, self.b_eq[k], gap.reshape(2 * m + 4, 2 * m), self.b_ub[k].reshape(-1),
             np.zeros(2 * m), self.upper[k],
             scale=float(self.scale[k]),
-            gap_bounds=_gap_bound_records(
-                m, self.coeff_left[k], self.coeff_right[k], self.delta[k], self.gap_events.get(k)
+            gap_bounds=tuple(
+                GapBound(kind, j, *values)
+                for (kind, j), *values in zip(_gap_labels(m), *columns, events)
             ),
-            clamp_events=self.clamp_events(k),
+            clamp_events=tuple(e for bound in events for e in bound),
             eps_charges=self.eps_charges,
         )
 
 
 def build_lps(
-    protocols: Sequence[ProtocolParams],
-    observations: Sequence[ObservedCounts],
+    protocols: ProtocolArrays,
+    counts: CountArrays,
     budget: SecurityBudget,
     gap_scale: float = 1.0,
 ) -> LPBatch:
     """Assemble the phase-error LP of each candidate from its observations,
     stacked. The candidates share the number of phase slices M (the
-    budget's) and n_total.
+    budget's); each LP is in units of its own n_total.
 
     Variables are ordered [class-0..M-1 signal yields, class-0..M-1 decoy
     yields], in units of n_total. The objective selects the even signal
@@ -411,19 +389,17 @@ def build_lps(
     hook for tightening/loosening studies); 1.0 is the faithful build.
     """
     m = budget.n_phases
-    if any(p.n_phases != m for p in protocols):
+    if protocols.n_phases != m:
         raise ValueError("budget was built for a different number of phase slices")
     if gap_scale < 0.0:
         raise ValueError("gap_scale must be >= 0")
-    n_totals = {p.n_total for p in protocols}
-    if len(n_totals) > 1:
-        raise ValueError("candidates must share n_total")
-    n_total = float(n_totals.pop()) if n_totals else 1.0
     eps_a = budget.eps_a
     b, k = len(protocols), m + 2
+    n_total = protocols.n_total[:, None]
 
-    rows = _candidate_rows(protocols, observations, m)
-    coeff_left, coeff_right, delta, events = _gap_bounds(rows, n_total, eps_a)
+    rows = _candidate_rows(protocols, counts)
+    coeff_left, coeff_right, unclamped, residual_clamped = _gap_bounds(rows, n_total, eps_a)
+    delta = np.where(unclamped < 0.0, 0.0, unclamped)
 
     b_eq = rows[:, -3:-1] / n_total
     b_ub = np.empty((b, k, 2))
@@ -438,11 +414,12 @@ def build_lps(
         b_eq=b_eq,
         b_ub=b_ub,
         upper=upper / n_total,
-        scale=np.full(b, n_total),
+        scale=protocols.n_total.copy(),
         coeff_left=coeff_left,
         coeff_right=coeff_right,
         delta=delta,
-        gap_events=events,
+        unclamped_delta=unclamped,
+        residual_clamped=residual_clamped,
         eps_charges=_CHARGES_PER_GAP * k + _CHARGES_PER_BOX * 2 * m,
     )
 
@@ -455,7 +432,8 @@ def build_lp(
 ) -> LinearProgram:
     """Assemble the phase-error LP for the given observations: build_lps on
     this one candidate."""
-    return build_lps([protocol], [counts], budget, gap_scale=gap_scale).member(0)
+    one = ProtocolArrays.of([protocol], budget.n_phases)
+    return build_lps(one, CountArrays.of([counts]), budget, gap_scale=gap_scale).member(0)
 
 
 _DUMP_HEADER = "tfqkd-lp 1"

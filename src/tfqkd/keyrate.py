@@ -3,9 +3,7 @@ length, and aggregates the per-distance report."""
 
 from __future__ import annotations
 
-import contextlib
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -13,13 +11,15 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
+    CountArrays,
     ObservedCounts,
+    ProtocolArrays,
     ProtocolParams,
     expected_observations,
     sample_observations,
 )
-from .constraints import SecurityBudget, build_lp, build_lps
-from .numerics import binary_entropy, plob_bound
+from .constraints import LPBatch, SecurityBudget, build_lp, build_lps
+from .numerics import binary_entropy, per_distinct, plob_bound
 from .simplex import solve_max, solve_separable
 
 
@@ -60,60 +60,113 @@ class _Outcome(NamedTuple):
     diagnostics: Diagnostics
 
 
+class _Round(NamedTuple):
+    """_evaluate's result: the _Outcome fields of every candidate as (B,)
+    arrays, with the status in place of the diagnostics, and the batch of
+    the detected candidates' LPs, in candidate order, which holds their
+    clamp events."""
+
+    n_bit: np.ndarray
+    e_bit: np.ndarray
+    n_ph_upper: np.ndarray
+    e_ph_upper: np.ndarray
+    key_length: np.ndarray
+    status: np.ndarray
+    batch: LPBatch
+    detected: np.ndarray
+
+    def outcome(self, k: int) -> _Outcome:
+        """Candidate k's _Outcome; a batch member takes no pivots."""
+        status = str(self.status[k])
+        events = ()
+        if status != "no_detections":
+            events = self.batch.clamp_events(int(np.searchsorted(self.detected, k)))
+        fields = (self.n_bit, self.e_bit, self.n_ph_upper, self.e_ph_upper, self.key_length)
+        return _Outcome(*(float(f[k]) for f in fields), Diagnostics(status, events, 0))
+
+
+def _phase_errors(value, scale, n_bit):
+    """n_ph_upper and e_ph_upper from a phase-error LP optimum `value` in
+    units of `scale` and the sifted bits: on floats or arrays alike."""
+    n_ph = np.maximum(0.0, value * scale)
+    return n_ph, np.minimum(1.0, np.maximum(0.0, n_ph / n_bit))
+
+
 def _evaluate(
-    protocols: Sequence[ProtocolParams],
-    observations: Sequence[ObservedCounts],
+    protocols: ProtocolArrays,
+    counts: CountArrays,
     channel: ChannelParams,
     budget: SecurityBudget,
     gap_scale: float = 1.0,
-) -> list[_Outcome]:
+) -> _Round:
     """Phase-error bound and key length of each candidate protocol from its
-    observations.
+    observations, as arrays.
 
-    A single candidate's LP is built by build_lp and solved by solve_max;
-    if the simplex basis turns singular, it is solved like a batch member.
-    Several candidates' LPs are built together as per-class arrays
-    (build_lps) and solved exactly from that structure (solve_separable),
-    with no pivots. A candidate without signal detections (n_bit = 0) or
-    with an infeasible LP gets zero key, with the cause as its status.
+    The candidates' LPs are built together as per-class arrays (build_lps)
+    and solved exactly from that structure (solve_separable), with no
+    pivots. A candidate without signal detections (n_bit = 0) or with an
+    infeasible LP gets zero key, with the cause as its status.
     """
-    detected = [counts.n_bit > 0.0 for counts in observations]
-    kept = [k for k, ok in enumerate(detected) if ok]
-    solved = None
-    if len(protocols) == 1:
-        # bench/tracing.py counts LP builds, optimize.lp_solves and
-        # simplex.pivots only through build_lp and solve_max, so a lone LP
-        # (optimize_point's final analyze included) takes both. This branch
-        # goes once the tracer counts batched solves (ROADMAP item 2).
-        lps = [build_lp(protocols[0], observations[0], budget, gap_scale=gap_scale) for _ in kept]
-        with contextlib.suppress(np.linalg.LinAlgError):
-            solved = iter([(solve_max(lp), (lp.scale, lp.clamp_events)) for lp in lps])
-    if solved is None:  # several candidates, or a singular simplex basis
-        batch = build_lps(
-            [protocols[k] for k in kept], [observations[k] for k in kept], budget,
-            gap_scale=gap_scale,
-        )
-        built = [(scale, batch.clamp_events(i)) for i, scale in enumerate(batch.scale.tolist())]
-        solved = zip(solve_separable(batch), built)
-    outcomes = []
-    for counts, ok in zip(observations, detected):
-        n_bit, e_bit = counts.n_bit, counts.e_bit
-        if not ok:
-            outcomes.append(_Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, Diagnostics("no_detections")))
-            continue
-        sol, (scale, clamp_events) = next(solved)
-        if sol.status == "infeasible":
-            diagnostics = Diagnostics("infeasible", clamp_events, sol.iterations)
-            outcomes.append(_Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, diagnostics))
-            continue
-        if sol.status != "optimal":
-            raise RuntimeError(f"unexpected LP status {sol.status!r}")
-        n_ph = max(0.0, sol.objective_value * scale)
-        e_ph = min(1.0, max(0.0, n_ph / n_bit))
-        key = key_length(n_bit, e_bit, e_ph, channel, budget)
-        diagnostics = Diagnostics("ok", clamp_events, sol.iterations)
-        outcomes.append(_Outcome(n_bit, e_bit, n_ph, e_ph, key, diagnostics))
-    return outcomes
+    n_bit, e_bit = counts.n_bit, counts.e_bit
+    detected = np.flatnonzero(n_bit > 0.0)
+    batch = build_lps(protocols.take(detected), counts.take(detected), budget, gap_scale=gap_scale)
+    solved = solve_separable(batch)
+    feasible = solved.status == "optimal"
+    status = np.full(len(n_bit), "no_detections")
+    status[detected] = np.where(feasible, "ok", "infeasible")
+    ok = detected[feasible]
+    n_ph, e_ph, key = (np.zeros(len(n_bit)) for _ in range(3))
+    n_ph[ok], e_ph[ok] = _phase_errors(solved.value[feasible], batch.scale[feasible], n_bit[ok])
+    key[ok] = key_lengths(n_bit[ok], e_bit[ok], e_ph[ok], channel, budget)
+    return _Round(n_bit, e_bit, n_ph, e_ph, key, status, batch, detected)
+
+
+def _analyzed(
+    protocol: ProtocolParams,
+    counts: ObservedCounts,
+    channel: ChannelParams,
+    budget: SecurityBudget,
+    gap_scale: float = 1.0,
+) -> _Outcome:
+    """Phase-error bound and key length of one protocol from its
+    observations: its LP is built by build_lp and solved by solve_max. If
+    the simplex basis turns singular, it is solved like a batch member
+    (_evaluate). Without signal detections or with an infeasible LP the key
+    is zero, with the cause as the status."""
+    n_bit, e_bit = counts.n_bit, counts.e_bit
+    if not n_bit > 0.0:
+        return _Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, Diagnostics("no_detections"))
+    # bench/tracing.py counts LP builds, optimize.lp_solves and
+    # simplex.pivots only through build_lp and solve_max, so a lone LP
+    # (optimize_point's final analyze included) takes both, until the
+    # tracer counts batched solves (ROADMAP items 2 and 8).
+    lp = build_lp(protocol, counts, budget, gap_scale=gap_scale)
+    try:
+        sol = solve_max(lp)
+    except np.linalg.LinAlgError:
+        one = ProtocolArrays.of([protocol], budget.n_phases)
+        return _evaluate(one, CountArrays.of([counts]), channel, budget, gap_scale).outcome(0)
+    if sol.status == "infeasible":
+        diagnostics = Diagnostics("infeasible", lp.clamp_events, sol.iterations)
+        return _Outcome(n_bit, e_bit, 0.0, 0.0, 0.0, diagnostics)
+    if sol.status != "optimal":
+        raise RuntimeError(f"unexpected LP status {sol.status!r}")
+    n_ph, e_ph = (float(x) for x in _phase_errors(sol.objective_value, lp.scale, n_bit))
+    key = key_length(n_bit, e_bit, e_ph, channel, budget)
+    diagnostics = Diagnostics("ok", lp.clamp_events, sol.iterations)
+    return _Outcome(n_bit, e_bit, n_ph, e_ph, key, diagnostics)
+
+
+def _unclamped_key(n_bit, h_bit, h_ph, channel: ChannelParams, budget: SecurityBudget):
+    """The secret-key length before its clamp at zero, from the binary
+    entropies of the bit and phase error rates: on floats or arrays alike."""
+    h_ec = n_bit * channel.f_ec * h_bit
+    return (
+        n_bit * (1.0 - h_ph)
+        - h_ec
+        - math.log2(2.0 / budget.eps_cor)
+        - math.log2(1.0 / (4.0 * budget.eps_pa**2))
+    )
 
 
 def key_length(
@@ -129,14 +182,25 @@ def key_length(
     anything above 0.5 already yields no key.
     """
     e_ph = min(0.5, max(0.0, e_ph_upper))
-    h_ec = n_bit * channel.f_ec * binary_entropy(e_bit)
-    l = (
-        n_bit * (1.0 - binary_entropy(e_ph))
-        - h_ec
-        - math.log2(2.0 / budget.eps_cor)
-        - math.log2(1.0 / (4.0 * budget.eps_pa**2))
-    )
-    return max(0.0, l)
+    return max(0.0, _unclamped_key(
+        n_bit, binary_entropy(e_bit), binary_entropy(e_ph), channel, budget
+    ))
+
+
+def key_lengths(
+    n_bit: np.ndarray,
+    e_bit: np.ndarray,
+    e_ph_upper: np.ndarray,
+    channel: ChannelParams,
+    budget: SecurityBudget,
+) -> np.ndarray:
+    """key_length of each candidate, as an array. The entropies are
+    evaluated by binary_entropy once per distinct rate, so every entry is
+    bit-identical to key_length."""
+    e_ph = np.minimum(0.5, np.maximum(0.0, e_ph_upper))
+    h_bit = per_distinct(binary_entropy, e_bit.tolist())
+    h_ph = per_distinct(binary_entropy, e_ph.tolist())
+    return np.maximum(0.0, _unclamped_key(n_bit, h_bit, h_ph, channel, budget))
 
 
 def end_to_end_plob(
@@ -185,7 +249,7 @@ def analyze(
     length. Degenerate observations and LP infeasibility are folded into a
     zero-key report with the cause recorded in the diagnostics."""
     counts = observe(protocol, channel, l_km, mode, seed, detector_in_eta)
-    (outcome,) = _evaluate([protocol], [counts], channel, budget, gap_scale=gap_scale)
+    outcome = _analyzed(protocol, counts, channel, budget, gap_scale=gap_scale)
     return KeyRateReport(
         l_km=l_km,
         protocol=protocol,

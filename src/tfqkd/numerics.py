@@ -29,6 +29,19 @@ class Deviation(NamedTuple):
     clamped: bool
 
 
+def per_distinct(fn, keys: list) -> np.ndarray:
+    """np.array([fn(k) for k in keys]), calling fn once per distinct key.
+
+    A search round repeats few values (5 intensities of each kind, 5
+    probabilities), and a scalar function called on them keeps every entry
+    bit-identical to a call per entry, which numpy's own transcendental
+    functions and powers do not."""
+    index: dict = {}
+    inverse = [index.setdefault(k, len(index)) for k in keys]
+    values = np.array([fn(k) for k in index], dtype=float)
+    return values if len(index) == len(keys) else values[inverse]
+
+
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy h(p) in bits, with 0*log2(0) = 0."""
     if not 0.0 <= p <= 1.0:

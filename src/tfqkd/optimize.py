@@ -4,13 +4,14 @@ at each distance."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .channel import ChannelParams, ProtocolParams, expected_observations
+import numpy as np
+
+from .channel import ChannelParams, ProtocolArrays, ProtocolParams, expected_counts
 from .constraints import SecurityBudget
 from .keyrate import KeyRateReport, _evaluate, analyze
 
@@ -96,6 +97,17 @@ def _shrunk_windows(windows: dict, incumbent: ProtocolParams, space: SearchSpace
     }
 
 
+def _round(windows: dict, k: int, n_phases: int, n_total: int) -> ProtocolArrays:
+    """The grid of a search round as arrays, in lexicographic order of
+    (mu, nu, p_mu, p_nu), without the points where p_mu + p_nu > 1."""
+    axes = [_grid(*windows[f"{name}_range"], k, geometric) for name, geometric in _PARAMS]
+    mu, nu, p_mu, p_nu = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    kept = ~(p_mu + p_nu > 1.0 + 1e-12)
+    mu, nu, p_mu, p_nu = mu[kept], nu[kept], p_mu[kept], p_nu[kept]
+    p_o = np.maximum(0.0, 1.0 - p_mu - p_nu)
+    return ProtocolArrays(mu, nu, p_mu, p_nu, p_o, n_phases, np.full(len(mu), float(n_total)))
+
+
 def optimize_point(
     channel: ChannelParams,
     l_km: float,
@@ -108,33 +120,26 @@ def optimize_point(
     """Grid-then-refine search for the key-maximizing protocol parameters
     at M = budget.n_phases phase slices.
 
-    Each grid round is evaluated as one batch (keyrate._evaluate), then
-    scanned. Scan order is lexicographic in (mu, nu, p_mu, p_nu); an
-    incumbent is replaced only by a strictly larger key length, so ties
-    resolve to the first point in scan order. Returns analyze's report for
-    the winner, whose protocol is report.protocol.
+    Each grid round is one set of arrays: its expected counts come from one
+    expected_counts call and its key lengths from one keyrate._evaluate
+    batch, with no per-candidate objects. Scan order is lexicographic in
+    (mu, nu, p_mu, p_nu); an incumbent is replaced only by a strictly
+    larger key length, so ties resolve to the first point in scan order.
+    Returns analyze's report for the winner, whose protocol is
+    report.protocol.
     """
     windows = {f"{name}_range": getattr(space, f"{name}_range") for name, _ in _PARAMS}
     best: tuple[float, ProtocolParams] | None = None
-    k = space.grid_density
+    n_total = int(n_total)
     for round_idx in range(space.refinement_rounds + 1):
-        grid = itertools.product(
-            *(_grid(*windows[f"{name}_range"], k, geometric) for name, geometric in _PARAMS)
-        )
-        candidates = []
-        observations = []
-        for mu, nu, p_mu, p_nu in grid:
-            if p_mu + p_nu > 1.0 + 1e-12:
-                continue
-            p_o = max(0.0, 1.0 - p_mu - p_nu)
-            cand = ProtocolParams(mu, nu, p_mu, p_nu, p_o, budget.n_phases, int(n_total))
-            candidates.append(cand)
-            observations.append(
-                expected_observations(cand, channel, l_km, detector_in_eta=detector_in_eta)
-            )
-        for outcome, cand in zip(_evaluate(candidates, observations, channel, budget), candidates):
-            if best is None or outcome.key_length > best[0]:
-                best = (outcome.key_length, cand)
+        candidates = _round(windows, space.grid_density, budget.n_phases, n_total)
+        counts = expected_counts(candidates, channel, l_km, detector_in_eta=detector_in_eta)
+        keys = _evaluate(candidates, counts, channel, budget).key_length
+        i = int(np.argmax(keys))  # the first of the round's largest
+        if best is None or keys[i] > best[0]:
+            fields = (candidates.mu, candidates.nu, candidates.p_mu, candidates.p_nu, candidates.p_o)
+            winner = ProtocolParams(*(float(f[i]) for f in fields), budget.n_phases, n_total)
+            best = (float(keys[i]), winner)
         if round_idx < space.refinement_rounds:
             windows = _shrunk_windows(windows, best[1], space)
     return analyze(best[1], channel, l_km, budget, mode="expected", detector_in_eta=detector_in_eta)

@@ -6,6 +6,8 @@ per-class structure, with no pivots."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,9 +230,20 @@ def solve_max(lp: LinearProgram) -> LPSolution:
 
 # Rounding allowance of the vertex tests, relative to the terms compared.
 _VERTEX_TOL = 16 * np.finfo(float).eps
-# Most (member, dual point, class) entries in one array: solve_separable
+# Most (member, edge direction, class) entries in one array: solve_separable
 # works in chunks of members, so it holds about a megabyte at any size.
 _CHUNK_ENTRIES = 1 << 14
+
+
+class SeparableSolutions(NamedTuple):
+    """solve_separable's outcome for a batch, one entry per member: status
+    "optimal" or "infeasible" (B,), the optimum in the member's own units,
+    NaN where infeasible (B,), and the minimizing multipliers
+    (lambda, kappa) of the count equalities (B, 2)."""
+
+    status: np.ndarray
+    value: np.ndarray
+    duals: np.ndarray
 
 
 def _class_vertices(boxes: np.ndarray, strips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,38 +278,43 @@ def _class_vertices(boxes: np.ndarray, strips: np.ndarray) -> tuple[np.ndarray, 
     return points, empty
 
 
-def _dual_points(strips: np.ndarray) -> np.ndarray:
-    """Points (lambda, kappa) where the dual function can have its minimum,
-    (B, (2 + M/2)^2, 2). Class j's support term breaks only on lines through
-    (c_j, 0) along its polygon's edge normals: the axes and the strip normal
-    (a_j, -b_j). The crossings of the lines through (0, 0) (odd classes)
-    with those through (1, 0) (even classes), the centres included, are
-    every vertex of the arrangement. Parallel pairs give (0, 0)."""
-    count = len(strips)
-    normals = np.stack([strips[:, 0], -strips[:, 1]], axis=-1)
-    axes = np.broadcast_to(np.eye(2), (count, 2, 2))
-    u = np.concatenate([axes, normals[:, 1::2]], axis=1)[:, :, None, :]
-    w = np.concatenate([axes, normals[:, 0::2]], axis=1)[:, None, :, :]
-    # t u = (1, 0) + s w for the lines t u through (0, 0) and (1, 0) + s w.
-    det = u[..., 1] * w[..., 0] - u[..., 0] * w[..., 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(det != 0.0, -w[..., 1] / det, 0.0)
-    return (t[..., None] * u).reshape(count, -1, 2)
-
-
 def _support(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Support function of each class polygon, max over its vertices of
-    direction . vertex, for points (C, M, V, 2) and directions broadcasting
-    to (C, K, M, 2): (C, K, M)."""
+    direction . vertex, for points (C, M, V, 2) and directions (C, K, 2):
+    (C, K, M)."""
+    dx, dy = directions[..., 0, None], directions[..., 1, None]
     best = None
     for v in range(points.shape[2]):
-        value = directions[..., 0] * points[:, None, :, v, 0]
-        value += directions[..., 1] * points[:, None, :, v, 1]
+        value = dx * points[:, None, :, v, 0]
+        value += dy * points[:, None, :, v, 1]
         best = value if best is None else np.maximum(best, value, out=best)
     return best
 
 
-def solve_separable(batch: LPBatch) -> list[LPSolution]:
+@lru_cache(maxsize=None)
+def _edge_layout(m_phases: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where _edge_directions holds +u and -u for the line directions u of
+    the odd classes (the axes, then the odd strip normals), and +w and -w
+    for those w of the even classes (the axes, then the even strip
+    normals): four index arrays of 2 + M/2."""
+    m = m_phases
+    odd, even = np.arange(1, m, 2), np.arange(0, m, 2)
+    return (
+        np.r_[0, 1, 4 + odd], np.r_[2, 3, 4 + m + odd],
+        np.r_[0, 1, 4 + even], np.r_[2, 3, 4 + m + even],
+    )
+
+
+def _edge_directions(strips: np.ndarray) -> np.ndarray:
+    """The edge normals of every class polygon, both ways, (B, 4 + 2M, 2):
+    the axes e_x, e_y, -e_x, -e_y, then each class's strip normal
+    (a_j, -b_j), then their negations."""
+    normals = np.stack([strips[:, 0], -strips[:, 1]], axis=-1)
+    axes = np.broadcast_to(np.concatenate([np.eye(2), -np.eye(2)]), (len(strips), 4, 2))
+    return np.concatenate([axes, normals, -normals], axis=1)
+
+
+def solve_separable(batch: LPBatch) -> SeparableSolutions:
     """Maximize each member of a phase-error batch exactly, from its
     per-class structure.
 
@@ -308,38 +326,59 @@ def solve_separable(batch: LPBatch) -> list[LPSolution]:
         n_ph = min  lambda X + kappa Y + sum_j h_j(c_j - lambda, -kappa)
 
     where h_j is the support function of P_j and c_j is 1 for even j and 0
-    for odd j. This is piecewise linear, so its minimum lies at one of
-    _dual_points, and each h_j is a maximum over P_j's vertices. The LP is
-    infeasible when some P_j is empty or when (X, Y) lies outside the
-    Minkowski sum of the P_j, tested on its edge normals (the axes and the
-    strip normals, both ways) with FEAS_TOL relative slack.
+    for odd j. This is piecewise linear. The odd terms break only on lines
+    t u through (0, 0) and the even terms only on lines (1, 0) + s w, for u
+    and w along the edge normals of their polygons (the axes and the strip
+    normals), so the minimum lies at a crossing t u = (1, 0) + s w. There
+    the odd terms sum to |t| H_odd(-sign(t) u) and the even terms to
+    |s| H_even(-sign(s) w), where H sums the classes' support functions.
+    So each class's support function is taken once on the 2(2 + M) edge
+    directions, the maximum over P_j's at most 6 vertices, and the dual
+    function at all (2 + M/2)^2 crossings follows from those sums. The LP
+    is infeasible when some P_j is empty or when (X, Y) lies outside the
+    Minkowski sum of the P_j, tested on the same edge directions with
+    FEAS_TOL relative slack.
 
-    Values are in the members' own units. row_duals holds the minimizing
-    (lambda, kappa); there are no pivots, so iterations is 0.
+    Returns each member's status, value (in the member's own units) and
+    minimizing (lambda, kappa) as arrays; there are no pivots.
     """
     m = batch.n_phases
     even = (np.arange(m) % 2 == 0).astype(float)
-    chunk = max(1, _CHUNK_ENTRIES // ((2 + m // 2) ** 2 * m))
+    pos_u, neg_u, pos_w, neg_w = _edge_layout(m)
+    chunk = max(1, _CHUNK_ENTRIES // ((4 + 2 * m) * m))
     all_boxes, all_strips = batch.boxes(), batch.strips()
-    results = []
+    parts = []
     for start in range(0, len(batch), chunk):
         ids = slice(start, start + chunk)
         strips, targets = all_strips[ids], batch.b_eq[ids]
         points, empty = _class_vertices(all_boxes[ids], strips)
 
-        normals = np.stack([strips[:, 0], -strips[:, 1]], axis=-1)
-        axes = np.broadcast_to(np.concatenate([np.eye(2), -np.eye(2)]), (len(points), 4, 2))
-        normals = np.concatenate([axes, normals, -normals], axis=1)
-        reach = _support(points, normals[:, :, None, :]).sum(axis=-1)
-        demand = (normals @ targets[..., None])[..., 0]
-        slack = FEAS_TOL * ((np.abs(normals) @ np.abs(targets)[..., None])[..., 0] + np.abs(reach))
+        directions = _edge_directions(strips)
+        support = _support(points, directions)
+        reach = support.sum(axis=-1)
+        demand = (directions @ targets[..., None])[..., 0]
+        slack = FEAS_TOL * ((np.abs(directions) @ np.abs(targets)[..., None])[..., 0] + np.abs(reach))
         infeasible = empty.any(axis=1) | (demand > reach + slack).any(axis=1)
 
-        duals = _dual_points(strips)
-        lam, kappa = duals[..., :1], duals[..., 1:]
-        directions = np.stack(np.broadcast_arrays(even - lam, -kappa), axis=-1)
-        value = (lam * targets[:, None, :1] + kappa * targets[:, None, 1:])[..., 0]
-        value += _support(points, directions).sum(axis=-1)
+        # The crossings t u = (1, 0) + s w; parallel pairs give (0, 0).
+        u = directions[:, pos_u, None, :]
+        w = directions[:, None, pos_w, :]
+        det = u[..., 1] * w[..., 0] - u[..., 0] * w[..., 1]
+        crossing = det != 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(crossing, -w[..., 1] / det, 0.0)
+            s = np.where(crossing, -u[..., 1] / det, 0.0)
+        duals = t[..., None] * u
+        h_odd = support[..., 1::2].sum(axis=-1)
+        h_even = support[..., 0::2].sum(axis=-1)
+        odd_terms = np.abs(t) * np.where(t > 0.0, h_odd[:, neg_u, None], h_odd[:, pos_u, None])
+        even_terms = np.abs(s) * np.where(s > 0.0, h_even[:, None, neg_w], h_even[:, None, pos_w])
+        # At (0, 0) the even terms are h_j(1, 0) = H_even(e_x).
+        even_terms = np.where(crossing, even_terms, h_even[:, :1, None])
+        lam, kappa = duals[..., 0], duals[..., 1]
+        value = lam * targets[:, None, None, 0] + kappa * targets[:, None, None, 1]
+        value += odd_terms + even_terms
+        value, duals = value.reshape(len(points), -1), duals.reshape(len(points), -1, 2)
         # Far from the centres the terms of the dual function cancel, and
         # their rounding can exceed the gaps between the points' values; so
         # pick the point whose value plus its rounding bound is lowest.
@@ -347,12 +386,14 @@ def solve_separable(batch: LPBatch) -> list[LPSolution]:
         magnitude = (np.abs(duals) * (np.abs(targets) + extent.sum(axis=1))[:, None]).sum(-1)
         magnitude += (extent[..., 0] @ even)[:, None]
         best = (value + (m + 4) * np.finfo(float).eps * magnitude).argmin(axis=1)
-        results += [
-            LPSolution("infeasible", np.nan, np.empty(0), 0) if infeasible[k]
-            else LPSolution("optimal", float(value[k, i]), np.empty(0), 0, duals[k, i].copy())
-            for k, i in enumerate(best.tolist())
-        ]
-    return results
+        rows = np.arange(len(best))
+        parts.append((infeasible, value[rows, best], duals[rows, best]))
+    if not parts:
+        return SeparableSolutions(np.empty(0, dtype="<U10"), np.empty(0), np.empty((0, 2)))
+    infeasible, value, duals = (np.concatenate(arrays) for arrays in zip(*parts))
+    return SeparableSolutions(
+        np.where(infeasible, "infeasible", "optimal"), np.where(infeasible, np.nan, value), duals
+    )
 
 
 def load_lp(path) -> LinearProgram:

@@ -7,8 +7,8 @@ import itertools
 import numpy as np
 
 from tfqkd import ChannelParams, ProtocolParams, build_lp, expected_observations, make_budget
-from tfqkd.channel import sample_observations
-from tfqkd.constraints import LinearProgram, LPBatch
+from tfqkd.channel import CountArrays, ProtocolArrays, sample_observations
+from tfqkd.constraints import LinearProgram, LPBatch, build_lps
 from tfqkd.optimize import _grid
 from tfqkd.simplex import LPSolution
 
@@ -54,9 +54,16 @@ def paper_shaped_lp(rng) -> LinearProgram:
     return build_lp(*paper_shaped_case(rng))
 
 
+def batch_of(candidates, observations, budget, gap_scale=1.0) -> LPBatch:
+    """build_lps on a round given as lists of protocols and observations."""
+    protocols = ProtocolArrays.of(candidates, budget.n_phases)
+    return build_lps(protocols, CountArrays.of(observations), budget, gap_scale=gap_scale)
+
+
 def concat_batches(batches) -> LPBatch:
     """Batches of one M as one batch; members may differ in n_total."""
-    names = ("b_eq", "b_ub", "upper", "scale", "coeff_left", "coeff_right", "delta")
+    names = ("b_eq", "b_ub", "upper", "scale", "coeff_left", "coeff_right", "delta",
+             "unclamped_delta", "residual_clamped")
     return LPBatch(**{name: np.concatenate([getattr(b, name) for b in batches]) for name in names})
 
 

@@ -14,7 +14,9 @@ from tfqkd import ChannelParams, end_to_end_plob
 from tfqkd.cli import CSV_HEADER, ConfigError, load_config, main, parse_config
 from tfqkd.simplex import load_lp, solve_max
 
-SCHEMA_DIR = Path(__file__).parent.parent / "src" / "tfqkd" / "schemas"
+ROOT = Path(__file__).parent.parent
+SCHEMA_DIR = ROOT / "src" / "tfqkd" / "schemas"
+GOLDEN = Path(__file__).parent / "golden"
 CONFIG_SCHEMA = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
 
 
@@ -487,6 +489,28 @@ class TestSweepCommand:
         out = tmp_path / "singular.csv"
         assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+
+class TestPublishedSearchGolden:
+    """Optimized sweeps on the published channel and search
+    (scripts/configs/table1_sweep.json), one worker, pinned byte for byte:
+    the search's winners and their reports. The files in tests/golden/ were
+    written by the shrink-by-half search before its rounds became arrays;
+    regenerate them only when the search is meant to change (ROADMAP item
+    1)."""
+
+    @pytest.mark.parametrize("n_total, n_phases, distances", [
+        (1e12, 8, [240.5, 280.5]), (1e14, 8, [240.5, 280.5]), (1e14, 16, [250.5]),
+    ])
+    def test_outputs_match_golden(self, tmp_path, n_total, n_phases, distances):
+        cfg = json.loads((ROOT / "scripts" / "configs" / "table1_sweep.json").read_text())
+        del cfg["output"]
+        cfg.update(n_total=n_total, n_phases=n_phases, distances=distances, threads=1)
+        name = f"sweep_table1_n{n_total:.0e}_m{n_phases}"
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        assert out.with_suffix(".json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 # Draws from config.schema.json's domain: intensities at 0, 1e-6 and the

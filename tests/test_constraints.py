@@ -13,11 +13,12 @@ from tfqkd import (
     expected_observations,
     make_budget,
 )
+from tfqkd.channel import CountArrays, ProtocolArrays
 from tfqkd.constraints import budget_multiplier, build_lps, dump_lp
 from tfqkd.numerics import folded_distinguishability, folded_poisson, vacuum_distinguishability
-from tfqkd.simplex import load_lp
+from tfqkd.simplex import load_lp, solve_separable
 
-from lp_generators import brute_force_solve, first_search_round, sampled_low_n_round
+from lp_generators import batch_of, brute_force_solve, first_search_round, sampled_low_n_round
 
 GOLDEN = Path(__file__).parent / "golden" / "lp_m8_table1_L100.txt"
 
@@ -323,7 +324,7 @@ def scalar_gap_bounds(protocol, counts, eps_a):
 def assert_members_are_lone_builds(candidates, observations, budget):
     """Each member of a batch built with build_lps must equal build_lp on
     its candidate alone, bit for bit."""
-    batch = build_lps(candidates, observations, budget)
+    batch = batch_of(candidates, observations, budget)
     assert len(batch) == len(candidates)
     for k, (proto, counts) in enumerate(zip(candidates, observations)):
         lone = build_lp(proto, counts, budget)
@@ -374,7 +375,7 @@ class TestBuildLps:
         )
 
     def test_empty_round(self, budget_m8):
-        batch = build_lps([], [], budget_m8)
+        batch = batch_of([], [], budget_m8)
         assert len(batch) == 0
         assert batch.b_ub.shape == (0, 10, 2)
         assert batch.boxes().shape == (0, 4, 8)
@@ -389,7 +390,7 @@ class TestBuildLps:
         no_vacuum = ProtocolParams.make(0.05, 0.1, 0.75, 0.25, 8, int(1e12))
         candidates += [protocol_m8, no_vacuum]
         observations += [bad, expected_observations(no_vacuum, channel, 120.0)]
-        batch = build_lps(candidates, observations, budget_m8)
+        batch = batch_of(candidates, observations, budget_m8)
         boxes, strips = batch.boxes(), batch.strips()
         for k in range(len(batch)):
             lp = batch.member(k)
@@ -415,9 +416,27 @@ class TestBuildLps:
 
     def test_rejects_mixed_rounds(self, channel, budget_m8, protocol_m8):
         counts = expected_observations(protocol_m8, channel, 100.0)
-        other_n = dataclasses.replace(protocol_m8, n_total=int(1e13))
-        with pytest.raises(ValueError, match="n_total"):
-            build_lps([protocol_m8, other_n], [counts, counts], budget_m8)
         other_m = dataclasses.replace(protocol_m8, n_phases=2)
         with pytest.raises(ValueError, match="phase slices"):
-            build_lps([protocol_m8, other_m], [counts, counts], budget_m8)
+            batch_of([protocol_m8, other_m], [counts, counts], budget_m8)
+        with pytest.raises(ValueError, match="phase slices"):
+            build_lps(ProtocolArrays.of([other_m], 2), CountArrays.of([counts]), budget_m8)
+
+    def test_members_keep_their_own_n_total(self, channel, budget_m8):
+        # A batch that mixes round counts gives each member the LP, and the
+        # solve_separable outcome, of a batch at its round count alone.
+        rounds = [first_search_round(channel, 8, n_total, 240.0) for n_total in (1e12, 1e14)]
+        single = [batch_of(*r, budget_m8) for r in rounds]
+        solved_single = [solve_separable(batch) for batch in single]
+        order = [(i, k) for k in range(0, 375, 4) for i in (0, 1)]
+        mixed = batch_of(
+            [rounds[i][0][k] for i, k in order], [rounds[i][1][k] for i, k in order], budget_m8
+        )
+        solved = solve_separable(mixed)
+        for row, (i, k) in enumerate(order):
+            for name in ("b_eq", "b_ub", "upper", "scale"):
+                assert np.array_equal(getattr(mixed, name)[row], getattr(single[i], name)[k]), name
+            assert solved.status[row] == solved_single[i].status[k]
+            assert solved.value[row] == solved_single[i].value[k]
+            assert np.array_equal(solved.duals[row], solved_single[i].duals[k])
+        assert {float(n) for n in mixed.scale} == {1e12, 1e14}

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tfqkd import (
     ObservedCounts,
@@ -14,11 +16,14 @@ from tfqkd import (
     key_length,
 )
 from tfqkd import keyrate, make_budget
-from tfqkd.keyrate import Diagnostics, _evaluate, _Outcome
+from tfqkd.channel import CountArrays, ProtocolArrays, expected_counts
+from tfqkd.constraints import build_lps
+from tfqkd.keyrate import Diagnostics, _analyzed, _evaluate, _Outcome
 from tfqkd.numerics import folded_poisson
-from tfqkd.simplex import solve_max
+from tfqkd.simplex import solve_max, solve_separable
 
-from lp_generators import TABLE1, random_round
+from honest_channel import honest_class_yields
+from lp_generators import TABLE1, first_search_round, random_round
 
 # Optimizer-selected operating point at L=100 km, 1e12 rounds, frozen once
 # from a converged grid search; the resulting phase-error bound is the
@@ -48,8 +53,14 @@ GOOD_PARAMS_L200_1E14 = ProtocolParams(
 def lone_outcome(protocol, counts, channel, budget, gap_scale=1.0):
     """The lone phase-error LP's outcome, by the path analyze takes
     (build_lp and solve_max)."""
-    (outcome,) = _evaluate([protocol], [counts], channel, budget, gap_scale=gap_scale)
-    return outcome
+    return _analyzed(protocol, counts, channel, budget, gap_scale=gap_scale)
+
+
+def round_outcomes(candidates, observations, channel, budget):
+    """keyrate._evaluate on candidates given as lists, one _Outcome each."""
+    protocols = ProtocolArrays.of(candidates, budget.n_phases)
+    evaluated = _evaluate(protocols, CountArrays.of(observations), channel, budget)
+    return [evaluated.outcome(k) for k in range(len(candidates))]
 
 
 class TestPhaseErrorUpperBound:
@@ -232,7 +243,7 @@ class TestAnalyze:
         candidates.append(candidates[0])
         observations.append(ObservedCounts(0.0, 1e5, 1e3, 0.0))  # no detections
         expected.append((0.0, 0.0, 0.0, 0.0, 0.0, Diagnostics("no_detections")))
-        got = _evaluate(candidates, observations, channel, budget_m8)
+        got = round_outcomes(candidates, observations, channel, budget_m8)
         assert len(got) == len(expected)
         for outcome, want in zip(got, expected):
             assert outcome.diagnostics == want[-1]
@@ -245,7 +256,7 @@ class TestAnalyze:
         # A lone LP on which the simplex basis turns singular gets the
         # outcome a batch member with the same counts gets.
         counts = expected_observations(protocol_m8, channel, 100.0)
-        member = _evaluate([protocol_m8] * 2, [counts] * 2, channel, budget_m8)[0]
+        member = round_outcomes([protocol_m8] * 2, [counts] * 2, channel, budget_m8)[0]
 
         def singular(lp):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -259,9 +270,26 @@ class TestAnalyze:
             analyze(protocol_m8, channel, 100.0, budget_m8, mode="exact")
 
 
+class TestArrayForms:
+    def test_round_arrays_are_the_scalar_calls(self, channel, budget_m8):
+        # expected_counts and key_lengths over a search round give, entry for
+        # entry, the floats of expected_observations and key_length.
+        candidates, observations = first_search_round(channel, 8, 1e12, 240.0)
+        counts = expected_counts(ProtocolArrays.of(candidates, 8), channel, 240.0)
+        for k, want in enumerate(observations):
+            got = (counts.n_2mu[k], counts.n_2nu[k], counts.n_0[k], counts.e_bit[k])
+            assert got == (want.n_2mu, want.n_2nu, want.n_0, want.e_bit), k
+        e_ph = np.random.default_rng(7).uniform(-0.1, 0.7, size=len(candidates))
+        keys = keyrate.key_lengths(counts.n_bit, counts.e_bit, e_ph, channel, budget_m8)
+        assert keys.tolist() == [
+            key_length(c.n_bit, c.e_bit, e, channel, budget_m8)
+            for c, e in zip(observations, e_ph.tolist())
+        ]
+        assert keys.any()
+
+
 class TestBatching:
-    # 84 members: slices of 2, 3 and 7 leave no member alone, since a lone
-    # LP takes the simplex by design.
+    # 84 members, in slices of 1, 2, 3 and 7.
     SIZE = 84
 
     @pytest.mark.parametrize("m", [8, 16])
@@ -270,20 +298,68 @@ class TestBatching:
         rng = np.random.default_rng(m * 1000 + int(np.log10(n_total)))
         budget = make_budget(n_phases=m, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20)
         candidates, observations = random_round(rng, m, int(n_total), self.SIZE)
-        full = _evaluate(candidates, observations, TABLE1, budget)
+        full = round_outcomes(candidates, observations, TABLE1, budget)
         assert any(o.diagnostics.status == "ok" for o in full)
         order = rng.permutation(self.SIZE).tolist()
-        shuffled = _evaluate(
+        shuffled = round_outcomes(
             [candidates[i] for i in order], [observations[i] for i in order], TABLE1, budget
         )
         assert shuffled == [full[i] for i in order]
-        for width in (2, 3, 7):
+        for width in (1, 2, 3, 7):
             sliced = [
                 outcome
                 for start in range(0, self.SIZE, width)
-                for outcome in _evaluate(
+                for outcome in round_outcomes(
                     candidates[start:start + width], observations[start:start + width],
                     TABLE1, budget,
                 )
             ]
             assert sliced == full, width
+
+
+# The schema's search box for intensities and label probabilities.
+INTENSITY = st.floats(1e-4, 0.5)
+LABEL = st.floats(0.01, 0.98)
+MEMBER = st.tuples(INTENSITY, INTENSITY, LABEL, LABEL, st.floats(6.0, 16.0))
+
+
+class TestHonestChannel:
+    """The honest channel's true class yields (tests/honest_channel.py), the
+    physics and not the LP algebra, are a point of every phase-error LP
+    built from expected counts, so each LP's n_ph bounds their even sum."""
+
+    @given(
+        m=st.integers(1, 32).map(lambda k: 2 * k),
+        members=st.lists(MEMBER, min_size=1, max_size=4),
+        l_km=st.floats(0.0, 500.0),
+        detector_in_eta=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_truth_is_feasible_and_bounded(self, channel, m, members, l_km, detector_in_eta):
+        budget = make_budget(n_phases=m, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20)
+        protocols = [
+            ProtocolParams.make(mu, nu, p_mu, p_nu, m, int(10**exponent))
+            for mu, nu, p_mu, p_nu, exponent in members
+            if p_mu + p_nu <= 1.0
+        ]
+        assume(protocols)
+        arrays = ProtocolArrays.of(protocols, m)
+        counts = expected_counts(arrays, channel, l_km, detector_in_eta=detector_in_eta)
+        batch = build_lps(arrays, counts, budget)
+        solved = solve_separable(batch)
+        for k, protocol in enumerate(protocols):
+            x, y = honest_class_yields(protocol, channel, l_km, detector_in_eta)
+            lp = batch.member(k)
+            truth = np.concatenate([x, y]) / lp.scale
+            np.testing.assert_allclose(lp.a_eq @ truth, lp.b_eq, rtol=1e-9, atol=0.0)
+            # Rounding allowance of the oracle only: the slack at the truth
+            # is orders of magnitude wider.
+            rounding = 1e-12 * (np.abs(lp.a_ub) @ truth + np.abs(lp.b_ub))
+            assert np.all(lp.a_ub @ truth <= lp.b_ub + rounding), k
+            assert np.all(truth <= lp.upper * (1.0 + 1e-12)) and np.all(truth >= lp.lower), k
+            even = x[0::2].sum()
+            assert solved.status[k] == "optimal"
+            assert solved.value[k] * lp.scale >= even * (1.0 - 1e-9)
+            lone = analyze(protocol, channel, l_km, budget, detector_in_eta=detector_in_eta)
+            assert lone.diagnostics.status == "ok"
+            assert lone.n_ph_upper >= even * (1.0 - 1e-9)

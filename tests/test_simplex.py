@@ -6,10 +6,11 @@ import pytest
 
 from tfqkd import ProtocolParams, build_lp, expected_observations, make_budget
 from tfqkd.channel import sample_observations
-from tfqkd.constraints import LinearProgram, build_lps
+from tfqkd.constraints import LinearProgram
 from tfqkd.simplex import load_lp, solve_max, solve_separable
 
 from lp_generators import (
+    batch_of,
     brute_force_solve,
     concat_batches,
     first_search_round,
@@ -208,21 +209,22 @@ def assert_matches_solve_max(batch, rel=1e-9):
     decides, and it must side with solve_separable. Returns the
     statuses and the number of disagreements."""
     statuses, disputes = [], 0
-    for k, got in enumerate(solve_separable(batch)):
+    solved = solve_separable(batch)
+    assert solved.status.shape == solved.value.shape == (len(batch),)
+    for k, (got, got_value) in enumerate(zip(solved.status.tolist(), solved.value.tolist())):
         lp = batch.member(k)
         want = solve_max(lp)
-        assert got.iterations == 0
-        statuses.append(got.status)
-        if got.status == want.status and (
-            got.status == "infeasible"
-            or abs(got.objective_value - want.objective_value) <= rel * abs(want.objective_value)
+        statuses.append(got)
+        if got == want.status and (
+            got == "infeasible"
+            or abs(got_value - want.objective_value) <= rel * abs(want.objective_value)
         ):
             continue
         disputes += 1
         status, value = highs(lp, tight=True)
-        assert got.status == status, (k, got.status, want.status)
+        assert got == status, (k, got, want.status)
         if status == "optimal":
-            assert got.objective_value == pytest.approx(value, rel=rel, abs=0.0), k
+            assert got_value == pytest.approx(value, rel=rel, abs=0.0), k
     return statuses, disputes
 
 
@@ -237,7 +239,7 @@ class TestBatchedSolver:
         for _ in range(1000):
             random_lp(rng)
         batch = concat_batches(
-            [build_lps([proto], [counts], budget) for proto, counts, budget in
+            [batch_of([proto], [counts], budget) for proto, counts, budget in
              (paper_shaped_case(rng) for _ in range(50))]
         )
         statuses, disputes = assert_matches_solve_max(batch)
@@ -251,13 +253,13 @@ class TestBatchedSolver:
         # rounds among them.
         budget = make_budget(n_phases=n_phases, eps_cor=1e-10, eps_pa=1.6566e-10,
                              eps_total_pe=4e-20)
-        batch = build_lps(*first_search_round(channel, n_phases, n_total, l_km), budget)
+        batch = batch_of(*first_search_round(channel, n_phases, n_total, l_km), budget)
         statuses, disputes = assert_matches_solve_max(batch)
         assert statuses == ["optimal"] * 375 and disputes == 0
 
     @pytest.mark.parametrize("n_total", [1e6, 1e8])
     def test_sampled_low_n_rounds(self, channel, budget_m8, n_total):
-        batch = build_lps(*sampled_low_n_round(channel, n_total), budget_m8)
+        batch = batch_of(*sampled_low_n_round(channel, n_total), budget_m8)
         assert len(batch) > 50
         assert assert_matches_solve_max(batch)[1] == 0
 
@@ -274,7 +276,7 @@ class TestBatchedSolver:
             dataclasses.replace(counts, n_0=1e11),
             expected_observations(no_vacuum, channel, 120.0),
         ]
-        batch = build_lps(candidates, observations, budget_m8)
+        batch = batch_of(candidates, observations, budget_m8)
         statuses, disputes = assert_matches_solve_max(batch)
         assert len(statuses) == 378 and disputes == 0
         assert [k for k, s in enumerate(statuses) if s == "infeasible"] == [17, 18]
@@ -292,7 +294,7 @@ class TestBatchedSolver:
                                      eps_total_pe=4e-20)
                 for _ in range(5):
                     n_total = int(10 ** rng.uniform(5, 15))
-                    batch = build_lps(*random_round(rng, n_phases, n_total, 25), budget,
+                    batch = batch_of(*random_round(rng, n_phases, n_total, 25), budget,
                                       gap_scale=gap_scale)
                     got, disputes = assert_matches_solve_max(batch)
                     statuses += got
@@ -305,10 +307,11 @@ class TestBatchedSolver:
         # lambda X + kappa Y + sum_j max over P_j of (c_j - lambda) x - kappa y,
         # each class maximum found by solve_max on its own two-variable LP,
         # gives back the value: (lambda, kappa) is an optimal dual point.
-        batch = build_lps(*first_search_round(channel, 8, 1e14, 240.0), budget_m8)
+        batch = batch_of(*first_search_round(channel, 8, 1e14, 240.0), budget_m8)
         boxes, strips = batch.boxes(), batch.strips()
-        for k, sol in list(enumerate(solve_separable(batch)))[::37]:
-            lam, kappa = sol.row_duals
+        solved = solve_separable(batch)
+        for k in range(0, len(batch), 37):
+            lam, kappa = solved.duals[k]
             total = lam * batch.b_eq[k, 0] + kappa * batch.b_eq[k, 1]
             for j in range(8):
                 x_lo, x_hi, y_lo, y_hi = boxes[k, :, j]
@@ -318,21 +321,24 @@ class TestBatchedSolver:
                     lower=[x_lo, y_lo], upper=[x_hi, y_hi],
                 ))
                 total += part.objective_value
-            assert total == pytest.approx(sol.objective_value, rel=1e-9, abs=0.0)
+            assert total == pytest.approx(solved.value[k], rel=1e-9, abs=0.0)
 
     def test_empty_input(self, budget_m8):
-        assert solve_separable(build_lps([], [], budget_m8)) == []
+        solved = solve_separable(batch_of([], [], budget_m8))
+        assert solved.status.shape == solved.value.shape == (0,)
+        assert solved.duals.shape == (0, 2)
 
 
 class TestExternalSolverCrossCheck:
     """Full-size instances are beyond the vertex oracle; an independent
     LP solver (test-only dependency) covers them."""
 
-    @pytest.mark.parametrize("n_phases", [8, 16])
+    @pytest.mark.parametrize("n_phases", [8, 16, 32, 64])
     def test_instances_match_highs(self, channel, n_phases):
-        # Expected and sampled counts over 10-450 km; solve_max on each LP
-        # and solve_separable on all of them as one batch, against default
-        # HiGHS.
+        # Expected and sampled counts over 10-450 km; solve_separable on all
+        # of them as one batch, and solve_max on each LP up to M = 16 (at
+        # larger M its basis can turn singular, as its docstring records),
+        # against default HiGHS.
         budget = make_budget(
             n_phases=n_phases, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20
         )
@@ -348,15 +354,32 @@ class TestExternalSolverCrossCheck:
                 counts = sample_observations(proto, channel, l_km, i)
             else:
                 counts = expected_observations(proto, channel, l_km)
-            batches.append(build_lps([proto], [counts], budget))
+            batches.append(batch_of([proto], [counts], budget))
             lps.append(build_lp(proto, counts, budget))
-        for lp, got in zip(lps, solve_separable(concat_batches(batches))):
-            mine = solve_max(lp)
+        solved = solve_separable(concat_batches(batches))
+        for lp, got, got_value in zip(lps, solved.status, solved.value):
             status, value = highs(lp)
-            assert mine.status == got.status == status
+            assert got == status
             if status == "optimal":
-                assert mine.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12)
-                assert got.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12)
+                assert got_value == pytest.approx(value, rel=1e-7, abs=1e-12)
+            if n_phases <= 16:
+                mine = solve_max(lp)
+                assert mine.status == status
+                if status == "optimal":
+                    assert mine.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12)
+
+    @pytest.mark.parametrize("n_phases", [32, 64])
+    def test_search_round_matches_highs(self, channel, n_phases):
+        # The first search round of scripts/rate_distance.py at 250 km.
+        budget = make_budget(
+            n_phases=n_phases, eps_cor=1e-10, eps_pa=1.6566e-10, eps_total_pe=4e-20
+        )
+        batch = batch_of(*first_search_round(channel, n_phases, 1e14, 250.0), budget)
+        solved = solve_separable(batch)
+        for k in range(len(batch)):
+            status, value = highs(batch.member(k))
+            assert solved.status[k] == status == "optimal"
+            assert solved.value[k] == pytest.approx(value, rel=1e-7, abs=0.0), k
 
 
 class TestDumpParsing:
